@@ -165,8 +165,11 @@ let bench_cases () =
     ]
   in
   let model_original = Model.init ~engine:Timestep.original Williamson.Tc5 m in
-  let model_refactored = Model.init Williamson.Tc5 m in
+  let model_refactored =
+    Model.init ~engine:Timestep.refactored Williamson.Tc5 m
+  in
   let bell = Williamson.cosine_bell m in
+  let model_fused = Model.init ~engine:Timestep.fused Williamson.Tc5 m in
   let model_tracers = Model.init ~tracers:[| bell |] Williamson.Tc5 m in
   let dist = Mpas_dist.Driver.init ~n_ranks:4 Williamson.Tc5 m in
   let dist2 = Mpas_dist.Driver.init ~n_ranks:2 Williamson.Tc5 m in
@@ -190,6 +193,8 @@ let bench_cases () =
         fun () -> Model.run model_original ~steps:1 );
       ( "full RK-4 step", "refactored (gather) engine",
         fun () -> Model.run model_refactored ~steps:1 );
+      ( "full RK-4 step", "fused (super-kernel) engine",
+        fun () -> Model.run model_fused ~steps:1 );
       ( "full RK-4 step", "with one tracer",
         fun () -> Model.run model_tracers ~steps:1 );
       ( "full RK-4 step", "distributed, 2 ranks",
@@ -461,7 +466,7 @@ let print_rows rows =
 let roofline_report () =
   let open Mpas_swe in
   let m = Lazy.force mesh in
-  let model = Model.init Williamson.Tc5 m in
+  let model = Model.init ~engine:Timestep.refactored Williamson.Tc5 m in
   let profile = Profile.measure model ~steps:2 in
   let measured =
     List.map (fun (k, s) -> (Timestep.kernel_name k, s)) profile

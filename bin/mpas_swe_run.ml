@@ -14,6 +14,7 @@ let case_of_string = function
   | other -> Error (`Msg ("unknown test case: " ^ other))
 
 let engine_of_string = function
+  | "fused" -> Ok `Fused
   | "original" -> Ok `Original
   | "refactored" -> Ok `Refactored
   | "parallel" -> Ok `Parallel
@@ -69,7 +70,10 @@ let run case level lloyd hours dt engine domains dump checkpoint restart vtk =
   | `Original ->
       Model.set_engine model Timestep.original;
       Model.run model ~steps
-  | `Refactored -> Model.run model ~steps
+  | `Fused -> Model.run model ~steps
+  | `Refactored ->
+      Model.set_engine model Timestep.refactored;
+      Model.run model ~steps
   | `Parallel ->
       Model.with_parallel_engine model ~n_domains:domains (fun model ->
           Model.run model ~steps)
@@ -144,10 +148,12 @@ let dt =
 let engine =
   Arg.(value
        & opt (conv (engine_of_string, fun ppf _ -> Format.fprintf ppf "engine"))
-           `Refactored
+           `Fused
        & info [ "engine" ] ~docv:"E"
-           ~doc:"Execution engine: original, refactored, parallel or \
-                 distributed (simulated MPI over --domains ranks).")
+           ~doc:"Execution engine: fused (the default: sequential fused \
+                 super-kernels), refactored (unfused gather loops), \
+                 original (scatter loops), parallel or distributed \
+                 (simulated MPI over --domains ranks).")
 
 let domains =
   Arg.(value & opt int 4
@@ -167,7 +173,8 @@ let checkpoint =
 let restart =
   Arg.(value & opt (some string) None
        & info [ "restart" ] ~docv:"PATH"
-           ~doc:"Resume from a state saved with --checkpoint (the mesh                  options must match).")
+           ~doc:"Resume from a state saved with --checkpoint (the mesh \
+                 options must match).")
 
 let vtk =
   Arg.(value & opt (some string) None

@@ -11,7 +11,7 @@ open Mpas_swe
 let () =
   let m = Mpas_mesh.Build.icosahedral ~level:2 () in
   let steps = 5 in
-  let reference = Model.init Williamson.Tc5 m in
+  let reference = Model.init ~engine:Timestep.refactored Williamson.Tc5 m in
   Model.run reference ~steps;
   let same a b =
     Array.for_all2

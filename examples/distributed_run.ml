@@ -14,7 +14,7 @@ let () =
   let steps = 10 in
 
   (* Serial reference. *)
-  let serial = Model.init Williamson.Tc5 mesh in
+  let serial = Model.init ~engine:Timestep.refactored Williamson.Tc5 mesh in
   Model.run serial ~steps;
 
   (* The same integration over four ranks. *)

@@ -13,7 +13,9 @@ let () =
     mesh.n_edges mesh.n_vertices;
 
   (* 2. A model initialized from Williamson test case 5 (zonal flow
-     over an isolated mountain), with an automatic CFL-based step. *)
+     over an isolated mountain), with an automatic CFL-based step.  It
+     runs the default engine, Timestep.fused: the step's kernels packed
+     into fused super-kernel chains on one core. *)
   let model = Model.init Williamson.Tc5 mesh in
   Printf.printf "dt = %.0f s\n" model.dt;
 
@@ -27,7 +29,7 @@ let () =
     drift.mass drift.energy;
 
   (* 4. The same model runs on a pool of OCaml domains with the
-     refactored (race-free) loops — same answer, bit for bit. *)
+     refactored (race-free) unfused loops — same answer, bit for bit. *)
   let h_serial = Array.copy model.state.h in
   let model2 = Model.init Williamson.Tc5 mesh in
   Model.with_parallel_engine model2 ~n_domains:4 (fun m ->

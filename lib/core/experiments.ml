@@ -477,7 +477,7 @@ let model_vs_measured ?(level = 4) ?(steps = 5) () =
      distribution across kernels is the testable part. *)
   let open Mpas_swe in
   let mesh = Mpas_mesh.Build.icosahedral ~level ~lloyd_iters:2 () in
-  let model = Model.init Williamson.Tc5 mesh in
+  let model = Model.init ~engine:Timestep.refactored Williamson.Tc5 mesh in
   let profile = Profile.measure model ~steps in
   let measured_total = Profile.total profile in
   let stats = Cost.stats_of_mesh mesh in

@@ -114,10 +114,7 @@ let tile_fn tiling (m : Mpas_mesh.Mesh.t) =
         let block = block_of len in
         Int.max 1 ((len + block - 1) / block)
 
-let handles (cfg : Config.t) (state : Fields.state) =
-  cfg.Config.integrator = Config.Rk4
-  && cfg.Config.visc4 = 0.
-  && Fields.n_tracers state = 0
+let handles = Timestep.fusable
 
 let same_recon a b =
   match (a, b) with

@@ -77,5 +77,6 @@ val timestep_engine : t -> Timestep.engine
 
 (** True when the runtime's task program would handle this
     configuration itself rather than falling back to the classic
-    driver. *)
+    driver: {!Mpas_swe.Timestep.fusable}, the predicate
+    {!Mpas_swe.Timestep.fused} falls back on too. *)
 val handles : Config.t -> Fields.state -> bool

@@ -13,7 +13,7 @@ type t = {
   mutable steps_taken : int;
 }
 
-let of_state ?(config = Config.default) ?(engine = Timestep.refactored) ~dt ~b
+let of_state ?(config = Config.default) ?(engine = Timestep.fused) ~dt ~b
     mesh state =
   let t =
     {

@@ -18,6 +18,8 @@ type t = {
 }
 
 (** Initialization phase: build the model from a Williamson test case.
+    [engine] defaults to {!Timestep.fused}; pass
+    [Timestep.refactored] for the unfused per-kernel oracle.
     [dt] defaults to [Williamson.recommended_dt case mesh]; [tracers]
     rows (concentrations at cells) are advected alongside. *)
 val init :

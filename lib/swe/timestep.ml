@@ -277,3 +277,101 @@ let step e (cfg : Config.t) m ~b ?recon ~dt ~state ~work () =
       match cfg.Config.integrator with
       | Config.Rk4 -> rk4_step e cfg m ~b ?recon ~dt ~state ~work ()
       | Config.Ssprk3 -> ssprk3_step e cfg m ~b ?recon ~dt ~state ~work ())
+
+(* --- fused straight-line RK-4 ------------------------------------------- *)
+
+(* The configurations the fused chains cover.  Both fused paths — [fused]
+   below and the task runtime's fused program — fall back to the classic
+   driver outside it. *)
+let fusable (cfg : Config.t) (state : Fields.state) =
+  cfg.Config.integrator = Config.Rk4
+  && cfg.Config.visc4 = 0.
+  && Fields.n_tracers state = 0
+
+(* One RK-4 step as a straight line of {!Fused} chains over full ranges,
+   in the order of the runtime's fused program:
+     early  A1 | B1+C1+X1+X2 | X3 | H2+A2+A3+X4 | B2+G+X5 | D1+C2+D2 | E | H1+F
+     final  A1+X4 | B1+C1+X1+X2+X5 | H2+A2+A3 | A4+X6 | B2+G | D1+C2+D2 | E | H1+F
+   In the final substep X4/X5 publish the accumulator into the state and
+   the diagnostics read the state.  Each chain is timed under the kernel
+   of its first member, as the runtime attributes a fused task; the
+   passes left outside the chains (the accumulator and provisional
+   seeds, the scan for boundary edges) are timed under their own
+   kernels, so every kernel timer of a step stays live. *)
+let fused_rk4 e (cfg : Config.t) (m : Mpas_mesh.Mesh.t) ~b ~recon ~dt
+    ~(state : Fields.state) ~work =
+  let { provis; tend; accum; diag; recon = rout } = work in
+  let nc = m.n_cells and ne = m.n_edges and nv = m.n_vertices in
+  let substep_coef = [| dt /. 2.; dt /. 2.; dt |] in
+  let accum_coef = [| dt /. 6.; dt /. 3.; dt /. 3.; dt /. 6. |] in
+  let dissip =
+    if cfg.visc2 <> 0. then Some (cfg.visc2, diag.divergence, diag.vorticity)
+    else None
+  in
+  let d2 =
+    match cfg.h_adv_order with
+    | Config.Second -> None
+    | Config.Fourth -> Some diag.d2fdx2_cell
+  in
+  let boundary = ref false in
+  e.instrument Enforce_boundary_edge (fun () ->
+      let mask = m.boundary_edge in
+      let rec any i = i < Array.length mask && (mask.(i) || any (i + 1)) in
+      boundary := any 0);
+  e.instrument Accumulative_update (fun () ->
+      Fields.blit_state ~src:state ~dst:accum);
+  e.instrument Compute_next_substep_state (fun () ->
+      Fields.blit_state ~src:state ~dst:provis);
+  for rk = 0 to 3 do
+    let final = rk = 3 in
+    let src = if final then state else provis in
+    let publish a = if final then Some a else None in
+    let x4 = Some (accum_coef.(rk), accum.h, publish state.h) in
+    let x5 = Some (accum_coef.(rk), accum.u, publish state.u) in
+    e.instrument Compute_tend (fun () ->
+        Fused.tend_h_chain m ~h_edge:diag.h_edge ~u:provis.u ~out:tend.tend_h
+          ~x4:(if final then x4 else None) ~lo:0 ~hi:nc);
+    e.instrument Compute_tend (fun () ->
+        Fused.tend_u_chain m ~pv_average:cfg.pv_average ~gravity:cfg.gravity
+          ~h:provis.h ~b ~ke:diag.ke ~h_edge:diag.h_edge ~u:provis.u
+          ~pv_edge:diag.pv_edge ~out:tend.tend_u ~dissip ~drag:cfg.bottom_drag
+          ~boundary:!boundary ~x5:(if final then x5 else None) ~lo:0 ~hi:ne);
+    if not final then
+      e.instrument Compute_next_substep_state (fun () ->
+          Fused.next_substep_range m ~coef:substep_coef.(rk) ~base:state ~tend
+            ~provis ~clo:0 ~chi:nc ~elo:0 ~ehi:ne);
+    e.instrument Compute_solve_diagnostics (fun () ->
+        Fused.diag_cells_chain m ~h:src.h ~u:src.u ~d2 ~ke_out:(Some diag.ke)
+          ~div_out:(Some diag.divergence) ~x4:(if final then None else x4)
+          ~tend_h:tend.tend_h ~lo:0 ~hi:nc);
+    (match recon with
+    | Some r when final ->
+        e.instrument Mpas_reconstruct (fun () ->
+            Reconstruct.run_range r m ~u:state.u ~out:rout ~x6:true ~lo:0 ~hi:nc)
+    | _ -> ());
+    e.instrument Compute_solve_diagnostics (fun () ->
+        Fused.diag_edges_chain m ~order:cfg.h_adv_order ~h:src.h
+          ~d2fdx2_cell:diag.d2fdx2_cell ~h_edge_out:diag.h_edge
+          ~g:(Some (src.u, diag.v_tangential))
+          ~x5:(if final then None else x5) ~tend_u:tend.tend_u ~lo:0 ~hi:ne);
+    e.instrument Compute_solve_diagnostics (fun () ->
+        Fused.vortex_chain m ~u:src.u ~h:src.h ~vort_out:diag.vorticity
+          ~hv_out:(Some diag.h_vertex) ~pv_out:(Some diag.pv_vertex) ~lo:0
+          ~hi:nv);
+    e.instrument Compute_solve_diagnostics (fun () ->
+        Fused.pv_cell_range m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell ~lo:0
+          ~hi:nc);
+    e.instrument Compute_solve_diagnostics (fun () ->
+        Fused.pv_edge_chain m ~g:None ~pv_cell:diag.pv_cell
+          ~pv_vertex:diag.pv_vertex ~gn_out:diag.grad_pv_n
+          ~gt_out:diag.grad_pv_t
+          ~f:(Some (cfg.apvm_factor, dt, src.u, diag.v_tangential, diag.pv_edge))
+          ~lo:0 ~hi:ne)
+  done
+
+let fused =
+  let custom e cfg m ~b ~recon ~dt ~state ~work =
+    if fusable cfg state then fused_rk4 e cfg m ~b ~recon ~dt ~state ~work
+    else step { e with custom = None } cfg m ~b ?recon ~dt ~state ~work ()
+  in
+  with_custom refactored custom

@@ -7,7 +7,11 @@
     - [refactored]: all loops in regularity-aware gather form
       (Algorithm 3), sequential;
     - [parallel pool]: the gather form with every pattern loop run on
-      the domain pool — the "OpenMP" execution of the hybrid design. *)
+      the domain pool — the "OpenMP" execution of the hybrid design;
+    - [fused]: the gather form with the kernels packed into the fused
+      super-kernel chains of {!Fused} (the paper's loop fusion),
+      sequential.  The default engine of [Model]; [refactored] is its
+      unfused oracle. *)
 
 open Mpas_mesh
 open Mpas_par
@@ -66,6 +70,24 @@ and custom =
 val original : engine
 val refactored : engine
 val parallel : Pool.t -> engine
+
+(** True when the configuration lies inside the fused chain set: RK-4,
+    no tracers, no biharmonic diffusion ([visc4 = 0]).  Both fused
+    paths — {!fused} and the task runtime's fused program — fall back
+    to the classic driver outside it. *)
+val fusable : Config.t -> Fields.state -> bool
+
+(** Sequential straight-line RK-4 over the {!Fused} chains, in the
+    order of the task runtime's fused program; bit-identical to
+    [refactored].  Installed through [custom]; configurations outside
+    {!fusable} run the classic driver.  Each chain is instrumented
+    under the kernel of its first member, so the accumulative updates
+    and boundary enforcement (always fused into a [Compute_tend] or
+    [Compute_solve_diagnostics] chain) are timed there.
+    [Accumulative_update] and [Enforce_boundary_edge] record only the
+    once-per-step passes left outside the chains: the accumulator seed
+    and the scan for boundary edges. *)
+val fused : engine
 
 (** Replace the instrumentation hook. *)
 val with_instrument : engine -> (kernel -> (unit -> unit) -> unit) -> engine

@@ -87,7 +87,7 @@ let test_exchange_counts_traffic () =
 
 let test_distributed_matches_serial () =
   let m = Lazy.force mesh in
-  let serial = Model.init Williamson.Tc5 m in
+  let serial = Model.init ~engine:Timestep.refactored Williamson.Tc5 m in
   let dist = Driver.init ~n_ranks:4 Williamson.Tc5 m in
   Model.run serial ~steps:5;
   Driver.run dist ~steps:5;
@@ -180,7 +180,10 @@ let test_distributed_tracers_and_del4 () =
   let config =
     { Config.default with visc4 = 1e-4 *. (dx ** 4.) /. 86400. }
   in
-  let serial = Model.init ~config ~tracers:[| bell |] Williamson.Tc5 m in
+  let serial =
+    Model.init ~config ~engine:Timestep.refactored ~tracers:[| bell |]
+      Williamson.Tc5 m
+  in
   let dist =
     Driver.init ~config ~tracers:[| bell |] ~n_ranks:4 Williamson.Tc5 m
   in
@@ -333,7 +336,7 @@ let prop_bitwise_equal_any_rank_count =
     QCheck.(int_range 2 8)
     (fun n_ranks ->
       let m = Lazy.force mesh in
-      let serial = Model.init Williamson.Tc6 m in
+      let serial = Model.init ~engine:Timestep.refactored Williamson.Tc6 m in
       let dist = Driver.init ~n_ranks Williamson.Tc6 m in
       Model.run serial ~steps:2;
       Driver.run dist ~steps:2;

@@ -246,6 +246,28 @@ let test_ico_fused_split_steal_matches () =
     ~mode:Exec.Steal ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.4
     ~host_lanes:2 ~fuse:true ~tiling:`Auto ~domains:4 ~steps:10 ()
 
+(* The straight-line fused driver and the fused sequential DAG run the
+   same chains in the same order: identical state and reconstruction. *)
+let test_straight_line_fused_matches_dag () =
+  List.iter
+    (fun (name, mk_model) ->
+      let dag =
+        mk_model
+          (Engine.timestep_engine
+             (Engine.create ~mode:Exec.Sequential ~fuse:true ()))
+      in
+      let line = mk_model Timestep.fused in
+      Model.run dag ~steps:10;
+      Model.run line ~steps:10;
+      check_bit_identical name dag.Model.state line.Model.state;
+      let ra = dag.Model.work.Timestep.recon
+      and rb = line.Model.work.Timestep.recon in
+      Alcotest.(check bool) (name ^ ": recon bit-identical") true
+        (List.for_all2 bits_equal
+           Fields.[ ra.ux; ra.uy; ra.uz; ra.zonal; ra.meridional ]
+           Fields.[ rb.ux; rb.uy; rb.uz; rb.zonal; rb.meridional ]))
+    [ ("ico", mk_ico); ("hex", mk_hex) ]
+
 let test_determinism_across_pool_sizes () =
   List.iter
     (fun domains ->
@@ -625,6 +647,8 @@ let () =
           Alcotest.test_case "pool sizes 1/2/4" `Quick
             test_determinism_across_pool_sizes;
           Alcotest.test_case "split sweep" `Quick test_split_sweep_matches;
+          Alcotest.test_case "straight-line fused = fused DAG" `Quick
+            test_straight_line_fused_matches_dag;
           Alcotest.test_case "ico fused+steal+tiled" `Quick
             test_ico_fused_steal_tiled_matches;
           Alcotest.test_case "hex fused+steal+tiled" `Quick

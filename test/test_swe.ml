@@ -332,7 +332,7 @@ let test_energy_enstrophy_drift_small () =
 
 let test_engines_agree () =
   let m = Lazy.force ico in
-  let m1 = Model.init Williamson.Tc5 m in
+  let m1 = Model.init ~engine:Timestep.refactored Williamson.Tc5 m in
   let m2 = Model.init ~engine:Timestep.original Williamson.Tc5 m in
   Model.run m1 ~steps:3;
   Model.run m2 ~steps:3;
@@ -625,6 +625,121 @@ let test_profile_restores_engine_on_raise () =
     (fun () -> ignore (Profile.measure model ~steps:1));
   Alcotest.(check bool) "original engine back in place" true
     (model.Model.engine == boom)
+
+(* --- the fused straight-line engine ---------------------------------------- *)
+
+(* A geostrophically balanced f-plane state (the hex family has no
+   Williamson case). *)
+let hex_model ?(mesh = hex) ?config engine =
+  let m = Lazy.force mesh in
+  let f = 1e-4 and g = Config.default.gravity in
+  let flow = Vec3.make 5. 2. 0. in
+  let slope = Vec3.scale (-.(f /. g)) (Vec3.cross Vec3.ez flow) in
+  let h = Array.init m.n_cells (fun c -> 1000. +. Vec3.dot slope m.x_cell.(c)) in
+  let u = Array.init m.n_edges (fun e -> Vec3.dot flow m.edge_normal.(e)) in
+  Model.of_state ?config ~engine ~dt:5. ~b:(Array.make m.n_cells 0.) m
+    { Fields.h; u; tracers = [||] }
+
+let ico_model ?config ?tracers engine =
+  Model.init ?config ~engine ?tracers Williamson.Tc5 (Lazy.force ico)
+
+let fused_configs =
+  [
+    ("default", Config.default);
+    ( "visc2+drag+second",
+      {
+        Config.default with
+        visc2 = 1e4;
+        bottom_drag = 1e-6;
+        h_adv_order = Config.Second;
+      } );
+    ( "edge-only apvm 0",
+      { Config.default with pv_average = Config.Edge_only; apvm_factor = 0. } );
+  ]
+
+let bits_equal xs ys =
+  Array.length xs = Array.length ys
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       xs ys
+
+(* The fused engine against the unfused oracle after 10 steps: state,
+   tracers and the reconstruction, bit for bit. *)
+let check_fused_matches name mk =
+  let a = mk Timestep.refactored and b = mk Timestep.fused in
+  Model.run a ~steps:10;
+  Model.run b ~steps:10;
+  let same x y = Alcotest.(check bool) (name ^ " " ^ x) true y in
+  same "h" (bits_equal a.state.h b.state.h);
+  same "u" (bits_equal a.state.u b.state.u);
+  same "tracers"
+    (Array.for_all2 bits_equal a.state.tracers b.state.tracers);
+  let ra = a.work.Timestep.recon and rb = b.work.Timestep.recon in
+  same "recon"
+    (List.for_all2 bits_equal
+       [ ra.ux; ra.uy; ra.uz; ra.zonal; ra.meridional ]
+       [ rb.ux; rb.uy; rb.uz; rb.zonal; rb.meridional ])
+
+(* Every seventh edge a wall, so the fused boundary enforcement has
+   edges to zero. *)
+let walled_hex =
+  lazy (Mesh.with_boundary_edges (Lazy.force hex) (fun e -> e mod 7 = 0))
+
+let test_fused_matches_refactored () =
+  List.iter
+    (fun (cname, config) ->
+      check_fused_matches ("ico " ^ cname) (ico_model ~config);
+      check_fused_matches ("hex " ^ cname) (hex_model ~config);
+      check_fused_matches ("walled hex " ^ cname)
+        (hex_model ~mesh:walled_hex ~config))
+    fused_configs
+
+let test_fused_fallback_matches () =
+  let dx = Mesh.mean_spacing (Lazy.force ico) in
+  let ssp = { Config.default with integrator = Config.Ssprk3 } in
+  let del4 = { Config.default with visc4 = 1e-4 *. (dx ** 4.) /. 86400. } in
+  check_fused_matches "ico ssprk3" (ico_model ~config:ssp);
+  check_fused_matches "ico del4" (ico_model ~config:del4);
+  check_fused_matches "ico tracer"
+    (ico_model ~tracers:[| Williamson.cosine_bell (Lazy.force ico) |]);
+  check_fused_matches "hex ssprk3" (hex_model ~config:ssp)
+
+let test_fused_instrumented () =
+  (* Every chain runs under [instrument]: the four kernels that own a
+     chain record time, and the summed kernel timers fit in the step. *)
+  let model = ico_model Timestep.fused in
+  let registry = Mpas_obs.Metrics.create () in
+  Model.set_engine model (Timestep.observed ~registry Timestep.fused);
+  let t0 = Unix.gettimeofday () in
+  Model.run model ~steps:3;
+  let wall = Unix.gettimeofday () -. t0 in
+  let profile = Profile.of_snapshot (Mpas_obs.Metrics.snapshot registry) in
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Timestep.kernel_name k ^ " timed") true
+        (List.assoc k profile > 0.))
+    Timestep.
+      [
+        Compute_tend;
+        Compute_next_substep_state;
+        Compute_solve_diagnostics;
+        Mpas_reconstruct;
+      ];
+  (* The fused path ran, not the classic fallback: the accumulative
+     update and boundary enforcement ride chains owned by other kernels
+     and run on their own once per step, not once per substep. *)
+  let snap = Mpas_obs.Metrics.snapshot registry in
+  List.iter
+    (fun k ->
+      let name = "swe.kernel." ^ Timestep.kernel_name k in
+      match Mpas_obs.Metrics.find_timer snap name with
+      | Some st ->
+          Alcotest.(check int) (name ^ " once per step") 3
+            st.Mpas_obs.Metrics.t_count
+      | None -> Alcotest.fail (name ^ " missing"))
+    Timestep.[ Accumulative_update; Enforce_boundary_edge ];
+  Alcotest.(check bool) "kernel sum within step time" true
+    (Profile.total profile <= wall)
 
 (* --- Galewsky (2004) barotropic instability -------------------------------- *)
 
@@ -1097,6 +1212,12 @@ let () =
           Alcotest.test_case "energy/enstrophy" `Quick
             test_energy_enstrophy_drift_small;
           Alcotest.test_case "engines agree" `Quick test_engines_agree;
+          Alcotest.test_case "fused = refactored" `Quick
+            test_fused_matches_refactored;
+          Alcotest.test_case "fused fallback = refactored" `Quick
+            test_fused_fallback_matches;
+          Alcotest.test_case "fused chains instrumented" `Quick
+            test_fused_instrumented;
           Alcotest.test_case "parallel engine" `Quick test_parallel_engine_agrees;
           Alcotest.test_case "RK4 convergence" `Slow test_rk4_convergence;
           Alcotest.test_case "TC5 mountain" `Quick test_tc5_mountain_present;
