@@ -174,9 +174,9 @@ let bench_cases () =
   let dist = Mpas_dist.Driver.init ~n_ranks:4 Williamson.Tc5 m in
   let dist2 = Mpas_dist.Driver.init ~n_ranks:2 Williamson.Tc5 m in
   (* Overlapped variants run their comm-extended DAG on the shared
-     bench pool (async executor), so pack/exchange/unpack of one rank
-     can proceed while another rank's boundary work is still in
-     flight; the classic driver bulk-synchronizes between sweeps. *)
+     bench pool (work-stealing executor), so pack/exchange/unpack of
+     one rank can proceed while another rank's boundary work is still
+     in flight; the classic driver bulk-synchronizes between sweeps. *)
   let overlap2 =
     Mpas_dist.Overlap.of_driver
       ~pool:(Lazy.force bench_pool)
@@ -217,8 +217,6 @@ let bench_cases () =
     let mk engine = Model.init ~engine Williamson.Tc5 m in
     let model_of eng = mk (Engine.timestep_engine eng) in
     let model_seq = model_of (Engine.create ~mode:Exec.Sequential ()) in
-    let model_barrier = model_of (Engine.create ~mode:Exec.Barrier ~pool ()) in
-    let model_async = model_of (Engine.create ~mode:Exec.Async ~pool ()) in
     let tuned =
       let state, b = Williamson.init Williamson.Tc5 m in
       let dt = Williamson.recommended_dt Williamson.Tc5 m in
@@ -242,16 +240,16 @@ let bench_cases () =
     in
     let model_split =
       model_of
-        (Engine.create ~mode:Exec.Async ~pool
+        (Engine.create ~mode:Exec.Steal ~pool
            ~plan:Mpas_hybrid.Plan.pattern_driven ~split:tuned_split
            ~host_lanes:2 ())
     in
-    (* Ablation ladder for the super-task work: each optimisation alone,
-       then the full stack (fusion + cache tiling + work stealing). *)
-    let model_fused =
-      model_of (Engine.create ~mode:Exec.Async ~pool ~fuse:true ())
-    in
+    (* Ablation ladder for the super-task work on the work-stealing
+       lanes: unfused, fused, then fused + cache tiling. *)
     let model_steal = model_of (Engine.create ~mode:Exec.Steal ~pool ()) in
+    let model_fused =
+      model_of (Engine.create ~mode:Exec.Steal ~pool ~fuse:true ())
+    in
     let model_full =
       model_of
         (Engine.create ~mode:Exec.Steal ~pool ~fuse:true ~tiling:`Auto ())
@@ -259,17 +257,13 @@ let bench_cases () =
     [
       ( "task runtime (dataflow DAG)", "dag sequential",
         fun () -> Model.run model_seq ~steps:1 );
-      ( "task runtime (dataflow DAG)", "level-barrier, 4 domains",
-        fun () -> Model.run model_barrier ~steps:1 );
-      ( "task runtime (dataflow DAG)", "async, 4 domains",
-        fun () -> Model.run model_async ~steps:1 );
       ( "task runtime (dataflow DAG)",
-        Printf.sprintf "async split-tuned f=%.3f, 4 domains" tuned_split,
+        Printf.sprintf "stealing split-tuned f=%.3f, 4 domains" tuned_split,
         fun () -> Model.run model_split ~steps:1 );
-      ( "task runtime (dataflow DAG)", "fused only, 4 domains",
-        fun () -> Model.run model_fused ~steps:1 );
       ( "task runtime (dataflow DAG)", "stealing only, 4 domains",
         fun () -> Model.run model_steal ~steps:1 );
+      ( "task runtime (dataflow DAG)", "fused+stealing, 4 domains",
+        fun () -> Model.run model_fused ~steps:1 );
       ( "task runtime (dataflow DAG)", "fused+stealing+tiled, 4 domains",
         fun () -> Model.run model_full ~steps:1 );
     ]
@@ -482,14 +476,19 @@ let write_trace path =
   Fun.protect
     ~finally:(fun () -> Mpas_obs.Trace.set_sink Mpas_obs.Trace.noop)
     (fun () ->
-      (* One observed RK-4 step on the domain pool: kernel spans on the
-         caller's lane, pool.worker spans on the worker lanes. *)
+      (* One observed RK-4 step of the fused task program on the
+         domain pool: kernel and task spans on whichever lane ran
+         them. *)
       let m = Lazy.force mesh in
       Mpas_par.Pool.with_pool ~n_domains:2 (fun pool ->
+          let engine =
+            Mpas_runtime.(
+              Engine.timestep_engine
+                (Engine.create ~mode:Exec.Steal ~fuse:true ~tiling:`Auto
+                   ~pool ()))
+          in
           let model =
-            Model.init
-              ~engine:(Timestep.observed (Timestep.parallel pool))
-              Williamson.Tc5 m
+            Model.init ~engine:(Timestep.observed engine) Williamson.Tc5 m
           in
           Model.run model ~steps:1);
       (* And the simulated hybrid lanes for the same mesh: per

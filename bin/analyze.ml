@@ -125,7 +125,7 @@ let races_section mesh_name probe (plan_name, plan) =
    task exactly once, every edge respected, no conflicting overlap.
    The spec checked against is the one the engine actually compiled
    ([Engine.program]), so fused and tiled programs replay too. *)
-let replay_with ~tag ~mode ?(fuse = false) ?(tiling = `Off) ~domains mesh_name
+let replay_with ~tag ?(fuse = false) ?(tiling = `Off) ~domains mesh_name
     mesh probe =
   let plan = Mpas_hybrid.Plan.pattern_driven in
   let steps = 2 in
@@ -133,8 +133,8 @@ let replay_with ~tag ~mode ?(fuse = false) ?(tiling = `Off) ~domains mesh_name
   let entries = ref 0 and issues = ref [] in
   Mpas_par.Pool.with_pool ~n_domains:domains (fun pool ->
       let eng =
-        Mpas_runtime.Engine.create ~mode ~pool ~plan ~split ~fuse ~tiling ~log
-          ()
+        Mpas_runtime.Engine.create ~mode:Mpas_runtime.Exec.Steal ~pool ~plan
+          ~split ~fuse ~tiling ~log ()
       in
       let model =
         Mpas_swe.Model.init
@@ -173,15 +173,11 @@ let replay_with ~tag ~mode ?(fuse = false) ?(tiling = `Off) ~domains mesh_name
   }
 
 let replay_section mesh_name mesh probe =
-  replay_with ~tag:"pattern-driven" ~mode:Mpas_runtime.Exec.Async ~domains:2
-    mesh_name mesh probe
+  replay_with ~tag:"pattern-driven" ~domains:2 mesh_name mesh probe
 
-(* The same replay over a stolen schedule of fused super-tasks: the
-   work-stealing executor's logs must order every conflicting pair
-   exactly like the sorted-queue executor's. *)
+(* The same replay over a stolen schedule of fused super-tasks. *)
 let steal_replay_section mesh_name mesh probe =
-  replay_with ~tag:"steal-fused" ~mode:Mpas_runtime.Exec.Steal ~fuse:true
-    ~domains:4 mesh_name mesh probe
+  replay_with ~tag:"steal-fused" ~fuse:true ~domains:4 mesh_name mesh probe
 
 (* Overlapped distributed schedules (Mpas_dist.Overlap): structural
    well-formedness, race freedom of the comm-extended program under
@@ -646,12 +642,11 @@ let live_tsan_section mesh_name mesh probe =
 let explore_section () =
   let module E = A.Explore in
   let correct =
-    [ E.Models.chase_lev (); E.Models.steal_wakeup (); E.Models.async_exec () ]
+    [ E.Models.chase_lev (); E.Models.steal_wakeup () ]
   in
   let seeded =
     [
       E.Models.chase_lev ~bug:E.Models.Drop_last_cas ();
-      E.Models.async_exec ~bug:E.Models.Drop_enable_signal ();
       E.Models.steal_wakeup ~bug:E.Models.Drop_version_check ();
       E.Models.steal_wakeup ~bug:E.Models.Drop_spread_broadcast ();
       E.Models.steal_wakeup ~bug:E.Models.Drop_retire_broadcast ();

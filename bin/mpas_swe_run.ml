@@ -75,7 +75,14 @@ let run case level lloyd hours dt engine domains dump checkpoint restart vtk =
       Model.set_engine model Timestep.refactored;
       Model.run model ~steps
   | `Parallel ->
-      Model.with_parallel_engine model ~n_domains:domains (fun model ->
+      (* The fused task program on work-stealing lanes; configurations
+         outside it fall back to the sequential classic driver. *)
+      Mpas_par.Pool.with_pool ~n_domains:domains (fun pool ->
+          Model.set_engine model
+            Mpas_runtime.(
+              Engine.timestep_engine
+                (Engine.create ~mode:Exec.Steal ~fuse:true ~tiling:`Auto
+                   ~pool ()));
           Model.run model ~steps)
   | `Distributed ->
       (* Simulated MPI over [domains] ranks; results are bitwise equal
@@ -123,6 +130,27 @@ let run case level lloyd hours dt engine domains dump checkpoint restart vtk =
   | None -> ());
   0
 
+(* [base] restricted to the values [ok] accepts: anything else is a
+   command-line error (exit 124) naming the option. *)
+let restrict base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S: expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_int =
+  restrict Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let non_negative_int =
+  restrict Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+let positive_float =
+  restrict Arg.float ~expected:"a finite positive number" (fun x ->
+      Float.is_finite x && x > 0.)
+
 let case =
   Arg.(value
        & opt (conv (case_of_string, fun ppf _ -> Format.fprintf ppf "case"))
@@ -131,18 +159,19 @@ let case =
                  galewsky-balanced.")
 
 let level =
-  Arg.(value & opt int 4
+  Arg.(value & opt non_negative_int 4
        & info [ "level" ] ~docv:"N" ~doc:"Icosahedral bisection level.")
 
 let lloyd =
-  Arg.(value & opt int 3
+  Arg.(value & opt non_negative_int 3
        & info [ "lloyd" ] ~docv:"N" ~doc:"Lloyd (SCVT) relaxation iterations.")
 
 let hours =
-  Arg.(value & opt float 6. & info [ "hours" ] ~docv:"H" ~doc:"Simulated hours.")
+  Arg.(value & opt positive_float 6.
+       & info [ "hours" ] ~docv:"H" ~doc:"Simulated hours.")
 
 let dt =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float) None
        & info [ "dt" ] ~docv:"S" ~doc:"Time step override in seconds.")
 
 let engine =
@@ -152,13 +181,15 @@ let engine =
        & info [ "engine" ] ~docv:"E"
            ~doc:"Execution engine: fused (the default: sequential fused \
                  super-kernels), refactored (unfused gather loops), \
-                 original (scatter loops), parallel or distributed \
-                 (simulated MPI over --domains ranks).")
+                 original (scatter loops), parallel (the fused task \
+                 program on work-stealing lanes over a --domains pool) or \
+                 distributed (simulated MPI over --domains ranks).")
 
 let domains =
-  Arg.(value & opt int 4
+  Arg.(value & opt positive_int 4
        & info [ "domains" ] ~docv:"N"
-           ~doc:"Domain-pool size for the parallel engine.")
+           ~doc:"Domain-pool size (workers plus the caller) for the parallel \
+                 engine; rank count for the distributed engine.")
 
 let dump =
   Arg.(value & opt (some string) None

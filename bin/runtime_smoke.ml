@@ -1,6 +1,6 @@
 (* Smoke check for the dataflow task runtime: a few RK-4 steps on a
    tiny mesh must reproduce the sequential engine bit for bit under
-   (1) the asynchronous DAG engine on two domains with the
+   (1) the unfused work-stealing DAG engine on two domains with the
    pattern-driven plan and a real 0.5 split, and (2) the full
    optimisation stack — fused super-tasks, cache-aware tiling and
    work-stealing lanes on four domains.  Wired to the [runtime-smoke]
@@ -36,9 +36,9 @@ let () =
     end
   in
   Mpas_par.Pool.with_pool ~n_domains:2 (fun pool ->
-      check "async DAG engine (2 domains, split 0.5)"
+      check "unfused stealing DAG engine (2 domains, split 0.5)"
         (matches
-           (Mpas_runtime.Engine.create ~mode:Mpas_runtime.Exec.Async ~pool
+           (Mpas_runtime.Engine.create ~mode:Mpas_runtime.Exec.Steal ~pool
               ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.5 ())));
   Mpas_par.Pool.with_pool ~n_domains:4 (fun pool ->
       check "fused+stealing+tiled engine (4 domains)"

@@ -28,11 +28,17 @@ let () =
     (Model.time model /. 60.)
     drift.mass drift.energy;
 
-  (* 4. The same model runs on a pool of OCaml domains with the
-     refactored (race-free) unfused loops — same answer, bit for bit. *)
+  (* 4. The same model runs on a pool of OCaml domains: the task
+     runtime schedules the fused (race-free) kernel chains over
+     work-stealing lanes — same answer, bit for bit. *)
   let h_serial = Array.copy model.state.h in
   let model2 = Model.init Williamson.Tc5 mesh in
-  Model.with_parallel_engine model2 ~n_domains:4 (fun m ->
-      Model.run m ~steps);
+  Mpas_par.Pool.with_pool ~n_domains:4 (fun pool ->
+      Model.set_engine model2
+        Mpas_runtime.(
+          Engine.timestep_engine
+            (Engine.create ~mode:Exec.Steal ~fuse:true ~tiling:`Auto
+               ~pool ()));
+      Model.run model2 ~steps);
   Printf.printf "serial vs 4-domain max |dh| = %.3e m\n"
     (Mpas_numerics.Stats.max_abs_diff h_serial model2.state.h)

@@ -190,7 +190,6 @@ let run ?(preemption_bound = 2) ?(max_schedules = 200_000) ?(max_steps = 400)
 module Models = struct
   type deque_bug = Drop_last_cas
   type steal_bug = Drop_version_check | Drop_spread_broadcast | Drop_retire_broadcast
-  type exec_bug = Drop_enable_signal
 
   (* The Chase-Lev deque at CAS granularity: owner pushes and pops the
      bottom, a thief steals the top; owner and thief contend on the
@@ -434,75 +433,6 @@ module Models = struct
       push (home cls.(0)) 0;
       ( [ ("h0", lane_body 0); ("h1", lane_body 1); ("d0", lane_body 2) ],
         check )
-    in
-    { m_name = name; m_make = make }
-
-  (* The shared-queue executor (run_parallel's shape): workers pull
-     ready tasks from one queue, retiring pushes the successors and
-     signals.  The seeded bug drops that signal, so a worker that went
-     to sleep before the last retire never wakes to run the enabled
-     task or to observe termination — a deadlock the explorer finds. *)
-  let async_exec ?bug () =
-    let name =
-      match bug with
-      | None -> "async-exec"
-      | Some Drop_enable_signal -> "async-exec!drop-enable-signal"
-    in
-    let n_tasks = 2 in
-    let succs = [| [ 1 ]; [] |] in
-    let make () =
-      let ready = ref [ 0 ] in
-      let n_retired = ref 0 in
-      let version = ref 0 and sleepers = ref 0 in
-      let runs = ref [] in
-      let worker w () =
-        let rec loop () =
-          if op "check-done" (fun () -> !n_retired = n_tasks) then ()
-          else begin
-            (match
-               op "pop" (fun () ->
-                   match !ready with
-                   | [] -> None
-                   | t :: rest ->
-                       ready := rest;
-                       Some t)
-             with
-            | Some t ->
-                op
-                  (Printf.sprintf "run-t%d" t)
-                  (fun () ->
-                    incr n_retired;
-                    runs := (t, w) :: !runs;
-                    ready := !ready @ succs.(t));
-                if bug <> Some Drop_enable_signal then
-                  op "signal" (fun () ->
-                      if !sleepers > 0 then incr version)
-            | None ->
-                op "sleepers++" (fun () -> incr sleepers);
-                let v = op "read-version" (fun () -> !version) in
-                if
-                  op "recheck" (fun () ->
-                      !n_retired = n_tasks || !ready <> [])
-                then op "sleepers--" (fun () -> decr sleepers)
-                else begin
-                  op "wait" ~guard:(fun () -> !version > v) (fun () -> ());
-                  op "sleepers--" (fun () -> decr sleepers)
-                end);
-            loop ()
-          end
-        in
-        loop ()
-      in
-      let check () =
-        let err = ref None in
-        for t = 0 to n_tasks - 1 do
-          let r = List.length (List.filter (fun (u, _) -> u = t) !runs) in
-          if r <> 1 && !err = None then
-            err := Some (Printf.sprintf "task %d ran %d times" t r)
-        done;
-        !err
-      in
-      ([ ("w0", worker 0); ("w1", worker 1) ], check)
     in
     { m_name = name; m_make = make }
 end

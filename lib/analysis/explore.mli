@@ -67,9 +67,6 @@ module Models : sig
         (** final retire without a signal: lanes asleep at termination
             never exit *)
 
-  type exec_bug = Drop_enable_signal
-      (** retiring drops the successor/termination signal *)
-
   val chase_lev : ?bug:deque_bug -> unit -> model
   (** Owner (2 pushes, 2 pops) vs one thief at CAS granularity; the
       check is conservation: each value taken exactly once or still
@@ -81,7 +78,4 @@ module Models : sig
       version/sleepers stingy-wakeup protocol; the check is
       exactly-once, class-correct execution, and the explorer proves
       no lost wakeup (no deadlock) for the unseeded protocol. *)
-
-  val async_exec : ?bug:exec_bug -> unit -> model
-  (** Two workers over one shared ready queue (run_parallel's shape). *)
 end

@@ -434,7 +434,7 @@ let build_phase (d : Driver.t) splits envs ~final =
     insts;
   (finalize bld, !groups, !values)
 
-let of_driver ?(mode = Exec.Async) ?pool ?log ?(depth = 1) (d : Driver.t) =
+let of_driver ?(mode = Exec.Steal) ?pool ?log ?(depth = 1) (d : Driver.t) =
   if not (handles d) then
     invalid_arg
       "Mpas_dist.Overlap.of_driver: tracers and biharmonic diffusion need \

@@ -54,7 +54,7 @@ val handles : Driver.t -> bool
 (** [of_driver d] compiles the overlapped program over [d]'s per-rank
     arrays; [d] remains the owner of all state ([gather_state],
     [steps_taken] and the traffic stats stay coherent, and classic and
-    overlapped steps may be interleaved).  [mode] (default [Async])
+    overlapped steps may be interleaved).  [mode] (default [Steal])
     and [pool] choose the executor; [log] collects {!Exec.entry}
     records; [depth] (default 1) widens the boundary band.
     @raise Invalid_argument when {!handles} is false or [depth < 1]. *)

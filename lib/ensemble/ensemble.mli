@@ -12,9 +12,9 @@
 
     Scheduling reuses the dataflow runtime: the RK-4 substep kernel
     chain compiles through {!Mpas_runtime.Batch} into phase programs
-    whose parallel axis is the {e member block}, so any
-    {!Mpas_runtime.Exec} mode (barrier, async, work stealing) spreads
-    blocks over lanes.  Members are independent; blocks share no slots.
+    whose parallel axis is the {e member block}, so the
+    work-stealing {!Mpas_runtime.Exec} mode spreads blocks over
+    lanes.  Members are independent; blocks share no slots.
 
     Failure isolation: members only ever touch their own panel lanes,
     so a blow-up cannot poison neighbours.  After every step each

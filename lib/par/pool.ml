@@ -110,19 +110,11 @@ let create ~n_domains =
 
 let size t = t.n_domains
 
-let default_chunk t ~lo ~hi =
-  let n = hi - lo in
-  (* Roughly 8 chunks per domain bounds scheduling overhead while
-     keeping dynamic balance. *)
-  Int.max 1 (n / (8 * t.n_domains))
+(* Roughly 8 chunks per domain bounds scheduling overhead while keeping
+   dynamic balance. *)
+let chunk_size t ~lo ~hi = Int.max 1 ((hi - lo) / (8 * t.n_domains))
 
-let resolve_chunk t ~lo ~hi = function
-  | None -> default_chunk t ~lo ~hi
-  | Some c ->
-      if c < 1 then invalid_arg "Pool: chunk must be >= 1";
-      c
-
-let parallel_for_chunks ?chunk t ~lo ~hi body =
+let parallel_for_chunks t ~lo ~hi body =
   if hi > lo then begin
     Mpas_obs.Metrics.Counter.incr m_jobs;
     if t.n_domains = 1 then begin
@@ -130,7 +122,7 @@ let parallel_for_chunks ?chunk t ~lo ~hi body =
       body ~lo ~hi
     end
     else begin
-      let chunk = resolve_chunk t ~lo ~hi chunk in
+      let chunk = chunk_size t ~lo ~hi in
       let n_chunks = (hi - lo + chunk - 1) / chunk in
       let job =
         { body; lo; hi; chunk; n_chunks;
@@ -170,35 +162,11 @@ let run_team t body =
     done
   end
 
-let parallel_for ?chunk t ~lo ~hi f =
-  parallel_for_chunks ?chunk t ~lo ~hi (fun ~lo ~hi ->
+let parallel_for t ~lo ~hi f =
+  parallel_for_chunks t ~lo ~hi (fun ~lo ~hi ->
       for i = lo to hi - 1 do
         f i
       done)
-
-let parallel_sum ?chunk t ~lo ~hi f =
-  if hi <= lo then 0.
-  else if t.n_domains = 1 then begin
-    let acc = ref 0. in
-    for i = lo to hi - 1 do
-      acc := !acc +. f i
-    done;
-    !acc
-  end
-  else begin
-    let chunk = resolve_chunk t ~lo ~hi chunk in
-    let n_chunks = (hi - lo + chunk - 1) / chunk in
-    let partials = Array.make n_chunks 0. in
-    parallel_for_chunks ~chunk t ~lo ~hi (fun ~lo:clo ~hi:chi ->
-        let k = (clo - lo) / chunk in
-        let acc = ref 0. in
-        for i = clo to chi - 1 do
-          acc := !acc +. f i
-        done;
-        partials.(k) <- !acc);
-    (* Combine in chunk order for determinism. *)
-    Array.fold_left ( +. ) 0. partials
-  end
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -5,11 +5,12 @@
     participates in every loop, so [n_domains = 1] degenerates to purely
     sequential execution with no spawned domains.
 
-    Loops divide the index range into chunks handed out dynamically
-    through an atomic counter, like an OpenMP [schedule(dynamic)]
-    region.  Loop bodies must write disjoint locations for distinct
-    indices — exactly the property the paper's regularity-aware loop
-    refactoring establishes (Algorithm 3). *)
+    Loops divide the index range into chunks of
+    [(hi - lo) / (8 * size)] indices handed out dynamically through an
+    atomic counter, like an OpenMP [schedule(dynamic)] region.  Loop
+    bodies must write disjoint locations for distinct indices — exactly
+    the property the paper's regularity-aware loop refactoring
+    establishes (Algorithm 3). *)
 
 type t
 
@@ -19,28 +20,15 @@ val create : n_domains:int -> t
 (** Number of participating domains (workers + caller). *)
 val size : t -> int
 
-(** All loops accept [?chunk], the number of consecutive indices handed
-    out per atomic-counter fetch.  The default, [(hi - lo) / (8 * size)],
-    balances scheduling overhead against dynamic load balance; cheap
-    point-wise loop bodies benefit from a larger chunk, expensive or
-    skewed ones from a smaller.  [chunk < 1] raises [Invalid_argument]. *)
-
 (** [parallel_for t ~lo ~hi f] runs [f i] for every [lo <= i < hi].
     Blocks until all iterations complete.  Must not be called
     re-entrantly from inside a loop body. *)
-val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> unit) -> unit
+val parallel_for : t -> lo:int -> hi:int -> (int -> unit) -> unit
 
 (** [parallel_for_chunks t ~lo ~hi f] hands out [f ~lo ~hi] on
     half-open sub-ranges; useful when per-chunk setup matters. *)
 val parallel_for_chunks :
-  ?chunk:int -> t -> lo:int -> hi:int -> (lo:int -> hi:int -> unit) -> unit
-
-(** [parallel_sum t ~lo ~hi f] is [sum of f i for lo <= i < hi],
-    computed with per-chunk partial sums combined {e in chunk order},
-    so the result is deterministic for a fixed [lo], [hi], [chunk] and
-    pool size regardless of thread scheduling. *)
-val parallel_sum :
-  ?chunk:int -> t -> lo:int -> hi:int -> (int -> float) -> float
+  t -> lo:int -> hi:int -> (lo:int -> hi:int -> unit) -> unit
 
 (** [run_team t f] runs [f ~lane] once on every domain of the pool
     (workers plus the caller), with [lane] ranging over

@@ -10,11 +10,11 @@ open Mpas_par
     straight-line kernel chain into a {!Spec.phase} with one task per
     (block, kernel): within a block the chain is a dependency chain
     (level = position), across blocks there are no edges at all, so
-    every {!Exec} mode (barrier, async, work stealing) schedules whole
-    member blocks concurrently, and the PR 6 machinery applies across
-    members for free.  [part] on each task records the member fraction
-    [(b/nb, (b+1)/nb)], so the parts of one kernel tile the unit
-    interval exactly as {!Spec.check} demands. *)
+    [Steal] mode schedules whole member blocks concurrently, and the
+    PR 6 machinery applies across members for free.  [part] on each
+    task records the member fraction [(b/nb, (b+1)/nb)], so the parts
+    of one kernel tile the unit interval exactly as {!Spec.check}
+    demands. *)
 
 type kernel = {
   bk_id : string;  (** instance id in specs/logs, e.g. ["ens.tend_u"] *)

@@ -30,7 +30,7 @@ type t = {
   mutable t_cache : cache option;
 }
 
-let create ?(mode = Exec.Async) ?pool ?plan ?(split = 0.5) ?host_lanes
+let create ?(mode = Exec.Steal) ?pool ?plan ?(split = 0.5) ?host_lanes
     ?(fuse = false) ?(tiling = `Off) ?log () =
   if not (0. <= split && split <= 1.) then
     invalid_arg "Mpas_runtime.Engine.create: split outside [0, 1]";
@@ -162,8 +162,8 @@ let prepare t cfg m ~b ~recon ~dt ~state ~work =
 
 let step t (e : Timestep.engine) cfg m ~b ~recon ~dt ~state ~work =
   if not (handles cfg state) then
-    (* Outside the task program (SSP RK-3, tracers, del4): the classic
-       driver, on the same pool. *)
+    (* Outside the task program (SSP RK-3, tracers, del4): the
+       sequential classic driver. *)
     Timestep.step
       { e with Timestep.custom = None }
       cfg m ~b ?recon ~dt ~state ~work ()
@@ -193,8 +193,4 @@ let timestep_engine t =
   let custom e cfg m ~b ~recon ~dt ~state ~work =
     step t e cfg m ~b ~recon ~dt ~state ~work
   in
-  {
-    Timestep.refactored with
-    Timestep.pool = t.t_pool;
-    custom = Some custom;
-  }
+  Timestep.with_custom Timestep.refactored custom

@@ -13,8 +13,9 @@ open Mpas_swe
     the spec's edges serialize every pair that shares data.
 
     Configurations outside the task program — SSP RK-3, tracers,
-    biharmonic diffusion — fall back to the classic driver (on the
-    engine's pool), so the wrapper is safe as a drop-in default. *)
+    biharmonic diffusion — fall back to the {e sequential} classic
+    driver ([Timestep.refactored]'s loops on the calling domain; the
+    pool stays idle), so the wrapper is safe as a drop-in default. *)
 
 type t
 
@@ -29,7 +30,7 @@ type tiling = [ `Off | `Auto | `Block of int ]
 
 (** [create ()] builds a runtime engine.
 
-    - [mode] (default [Async]): see {!Exec.mode}.
+    - [mode] (default [Steal]): see {!Exec.mode}.
     - [pool]: worker lanes; absent = single lane.
     - [plan]: a {!Mpas_hybrid.Plan} assigning instances to host or
       device lanes, [Adjustable] ones split by [split].
@@ -70,8 +71,8 @@ val fused : t -> bool
     checkers should validate against it rather than rebuilding one. *)
 val program : t -> Spec.t option
 
-(** The [Timestep] engine driving this runtime (CSR gather layout, the
-    runtime's pool, the custom step installed).  Compose with
+(** The [Timestep] engine driving this runtime (CSR gather layout,
+    the custom step installed).  Compose with
     {!Timestep.with_instrument} / {!Timestep.observed} as usual. *)
 val timestep_engine : t -> Timestep.engine
 

@@ -1,13 +1,9 @@
 open Mpas_par
 open Mpas_patterns
 
-type mode = Sequential | Barrier | Async | Steal
+type mode = Sequential | Steal
 
-let mode_name = function
-  | Sequential -> "sequential"
-  | Barrier -> "barrier"
-  | Async -> "async"
-  | Steal -> "steal"
+let mode_name = function Sequential -> "sequential" | Steal -> "steal"
 
 type entry = {
   e_phase : [ `Early | `Final ];
@@ -92,143 +88,17 @@ let run_sequential ?log ?(preempt = fun () -> false) ~san ~phase ~substep
             :: !l)
     spec.Spec.tasks
 
-let rec insert_sorted x = function
-  | [] -> [ x ]
-  | y :: _ as l when x < y -> x :: l
-  | y :: rest -> y :: insert_sorted x rest
-
-(* Dependency-driven execution over the pool's worker lanes.  All
-   bookkeeping (ready queues, dependency counters, level cursor, log)
-   lives under one mutex; task bodies run with it released.  Bodies
-   must not raise — an escaped exception would wedge the other lanes. *)
-let run_parallel ?log ~mode ~pool ~host_lanes ~san ~phase ~substep ~instrument
-    (spec : Spec.phase) bodies =
-  let tasks = spec.Spec.tasks in
-  let n = Array.length tasks in
-  if n = 0 then ()
-  else begin
-    let lanes = match pool with None -> 1 | Some p -> Pool.size p in
-    let host_lanes = Int.min host_lanes lanes in
-    let needs c = Array.exists (fun tk -> tk.Spec.cls = c) tasks in
-    if host_lanes < 1 && needs Spec.Host then
-      invalid_arg "Mpas_runtime.Exec: program has host tasks but no host lane";
-    if lanes - host_lanes < 1 && needs Spec.Device then
-      invalid_arg
-        "Mpas_runtime.Exec: program has device tasks but no device lane";
-    let mu = Mutex.create () in
-    let cv = Condition.create () in
-    let indeg = Array.map (fun tk -> List.length tk.Spec.preds) tasks in
-    let ready = [| ref []; ref [] |] in
-    let qi = function Spec.Host -> 0 | Spec.Device -> 1 in
-    let push i =
-      let q = ready.(qi tasks.(i).Spec.cls) in
-      q := insert_sorted i !q
-    in
-    Array.iteri (fun i d -> if d = 0 then push i) indeg;
-    let remaining = ref n in
-    let seq = Atomic.make 0 in
-    let level = ref 0 in
-    let level_left = Array.make spec.Spec.n_levels 0 in
-    Array.iter
-      (fun tk -> level_left.(tk.Spec.level) <- level_left.(tk.Spec.level) + 1)
-      tasks;
-    (* Lowest ready index of the lane's class; Barrier mode only
-       releases tasks of the current level. *)
-    let pop cls =
-      let q = ready.(qi cls) in
-      match mode with
-      | Sequential | Async | Steal -> (
-          match !q with
-          | [] -> None
-          | i :: rest ->
-              q := rest;
-              Some i)
-      | Barrier ->
-          let rec take skipped = function
-            | [] -> None
-            | i :: rest when tasks.(i).Spec.level = !level ->
-                q := List.rev_append skipped rest;
-                Some i
-            | i :: rest -> take (i :: skipped) rest
-          in
-          take [] !q
-    in
-    let retire i ~lane ~s0 ~s1 ~t0 ~t1 =
-      (match log with
-      | None -> ()
-      | Some l ->
-          l :=
-            {
-              e_phase = phase;
-              e_substep = substep;
-              e_task = i;
-              e_instance = tasks.(i).Spec.instance.Pattern.id;
-              e_lane = lane;
-              e_start_seq = s0;
-              e_finish_seq = s1;
-              e_t0 = t0;
-              e_t1 = t1;
-            }
-            :: !l);
-      decr remaining;
-      let tk = tasks.(i) in
-      level_left.(tk.Spec.level) <- level_left.(tk.Spec.level) - 1;
-      while !level < spec.Spec.n_levels && level_left.(!level) = 0 do
-        incr level
-      done;
-      List.iter
-        (fun s ->
-          indeg.(s) <- indeg.(s) - 1;
-          if indeg.(s) = 0 then push s)
-        tk.Spec.succs;
-      Condition.broadcast cv
-    in
-    let lane_body ~lane =
-      let cls = if lane < host_lanes then Spec.Host else Spec.Device in
-      Mutex.lock mu;
-      let rec loop () =
-        if !remaining = 0 then Mutex.unlock mu
-        else
-          match pop cls with
-          | Some i ->
-              Mutex.unlock mu;
-              let s0 = Atomic.fetch_and_add seq 1 in
-              let t0 = now () in
-              (match san with
-              | None -> ()
-              | Some s -> s.san_task_begin ~task:i ~lane);
-              instrument tasks.(i) bodies.(i);
-              (match san with
-              | None -> ()
-              | Some s -> s.san_task_end ~task:i ~lane);
-              let t1 = now () in
-              let s1 = Atomic.fetch_and_add seq 1 in
-              if Mpas_obs.Trace.enabled () then
-                trace_task tasks.(i) ~substep ~lane ~t0;
-              Mutex.lock mu;
-              retire i ~lane ~s0 ~s1 ~t0 ~t1;
-              loop ()
-          | None ->
-              Condition.wait cv mu;
-              loop ()
-      in
-      loop ()
-    in
-    match pool with
-    | None -> lane_body ~lane:0
-    | Some p -> Pool.run_team p lane_body
-  end
-
 (* Work-stealing execution: one deque per worker lane.  A lane pushes
    the tasks it enables onto its own deque and pops LIFO from the
    bottom; when dry it steals FIFO from the top of a random same-class
    victim, and after a full fruitless sweep it blocks on a condition
    variable (essential on machines with fewer cores than lanes — a
    spinning thief would starve the lane holding the work).  Dependency
-   counters are atomic, the start/finish sequence numbers come from the
-   same global atomic counter as the other modes, and the log gets the
-   same entries, so [Races.check_log] replays stolen schedules
-   unchanged. *)
+   counters are atomic, the start/finish sequence numbers come from one
+   global atomic counter, and the log gets the same entries as
+   [Sequential] mode, so [Races.check_log] replays stolen schedules
+   unchanged.  Bodies must not raise — an escaped exception would
+   wedge the other lanes. *)
 let run_stealing ?log ~pool ~host_lanes ~san ~phase ~substep ~instrument
     (spec : Spec.phase) bodies =
   let tasks = spec.Spec.tasks in
@@ -411,14 +281,10 @@ let run_phase ?log ?preempt ~mode ~pool ~host_lanes ~phase ~substep
   | Sequential ->
       run_sequential ?log ?preempt ~san ~phase ~substep ~instrument spec
         bodies
-  | Barrier | Async ->
-      (* Worker lanes must not raise (an escaped exception would wedge
-         the team), so the parallel modes only honour the preempt flag
-         at phase entry, before any lane launches. *)
-      (match preempt with Some p when p () -> raise Preempted | _ -> ());
-      run_parallel ?log ~mode ~pool ~host_lanes ~san ~phase ~substep
-        ~instrument spec bodies
   | Steal ->
+      (* Worker lanes must not raise (an escaped exception would wedge
+         the team), so the pooled mode only honours the preempt flag at
+         phase entry, before any lane launches. *)
       (match preempt with Some p when p () -> raise Preempted | _ -> ());
       run_stealing ?log ~pool ~host_lanes ~san ~phase ~substep ~instrument
         spec bodies);

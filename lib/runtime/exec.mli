@@ -5,27 +5,18 @@ open Mpas_par
 
     Lanes are partitioned into a host set (lanes [0 .. host_lanes-1])
     and a device set (the rest), standing in for the paper's
-    CPU-thread / accelerator-stream pair.  Each lane loops: pop the
-    lowest-index ready task of its class, run it, retire it (waking
-    lanes whose tasks became ready).  Popping lowest-index-first makes
-    the schedule deterministic given the lane interleaving — and the
-    result is bit-identical regardless of interleaving because tasks
-    only commute when the spec carries no edge between them. *)
+    CPU-thread / accelerator-stream pair.  The result is bit-identical
+    to program order regardless of the lane interleaving, because
+    tasks only commute when the spec carries no edge between them. *)
 
 type mode =
   | Sequential  (** program order on the calling domain — the reference *)
-  | Barrier
-      (** level-synchronous: only tasks of the current ASAP level may
-          start, all lanes meet between levels (the paper's
-          kernel-barrier execution) *)
-  | Async  (** fully dependency-driven: any ready task may start *)
   | Steal
       (** dependency-driven over per-lane work-stealing deques: a lane
           pushes the tasks it enables onto its own deque and pops LIFO
           (hottest first); when dry it steals FIFO from a random
           same-class victim, and blocks on a condition variable after a
-          fruitless sweep.  Same logging, tracing and bit-identity
-          guarantees as [Async] — only the schedule differs. *)
+          fruitless sweep. *)
 
 val mode_name : mode -> string
 
@@ -88,7 +79,7 @@ exception Preempted
 
     [preempt] is the cooperative eviction hook: polled on the
     orchestrating domain — between task retires in [Sequential] mode,
-    at phase entry in the pooled modes (worker lanes never raise) —
+    at phase entry in [Steal] mode (worker lanes never raise) —
     and when it returns [true] the run aborts with {!Preempted}. *)
 val run_phase :
   ?log:log ->

@@ -18,9 +18,9 @@ let best_split ?(candidates = default_candidates) ?(steps = 3) ?host_lanes
     let work = Timestep.alloc_workspace ~n_tracers:(Fields.n_tracers state) m in
     let eng =
       match split with
-      | None -> Engine.create ~mode:Exec.Async ~pool ()
+      | None -> Engine.create ~pool ()
       | Some split ->
-          Engine.create ~mode:Exec.Async ~pool ~plan ~split ?host_lanes ()
+          Engine.create ~pool ~plan ~split ?host_lanes ()
     in
     let te = Engine.timestep_engine eng in
     Timestep.init_diagnostics te cfg m ~dt ~state ~work;

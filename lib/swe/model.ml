@@ -1,5 +1,4 @@
 open Mpas_mesh
-open Mpas_par
 
 type t = {
   mesh : Mesh.t;
@@ -58,11 +57,3 @@ let invariants t = Conservation.measure t.config t.mesh ~b:t.b t.state
 
 let total_height t =
   Array.init t.mesh.n_cells (fun c -> t.state.h.(c) +. t.b.(c))
-
-let with_parallel_engine t ~n_domains f =
-  Pool.with_pool ~n_domains (fun pool ->
-      let saved = t.engine in
-      set_engine t (Timestep.parallel pool);
-      Fun.protect
-        ~finally:(fun () -> set_engine t saved)
-        (fun () -> f t))

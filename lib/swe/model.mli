@@ -56,6 +56,3 @@ val invariants : t -> Conservation.t
 
 (** Total height field [h + b] (the quantity plotted in Figure 5). *)
 val total_height : t -> float array
-
-(** Shut down the engine's pool, if any. *)
-val with_parallel_engine : t -> n_domains:int -> (t -> 'a) -> 'a

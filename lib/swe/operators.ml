@@ -1,38 +1,19 @@
 open Mpas_mesh
-open Mpas_par
-
-let pfor pool lo hi f =
-  match pool with
-  | None ->
-      for i = lo to hi - 1 do
-        f i
-      done
-  | Some p -> Pool.parallel_for p ~lo ~hi f
 
 (* Iterate the full range [0, n) or, when [on] is given, exactly the
    listed indices — the rank-local compute sets of the distributed
    driver. *)
-let iter pool ?on n f =
+let iter ?on n f =
   match on with
-  | None -> pfor pool 0 n f
-  | Some idx -> pfor pool 0 (Array.length idx) (fun k -> f idx.(k))
+  | None ->
+      for i = 0 to n - 1 do
+        f i
+      done
+  | Some idx -> Array.iter f idx
 
 (* Contiguous-range runner of the CSR fast paths: the loop body works on
    [lo, hi) directly so the flat tables are walked in order. *)
-let range pool lo hi body =
-  match pool with
-  | None -> if hi > lo then body ~lo ~hi
-  | Some p -> Pool.parallel_for_chunks p ~lo ~hi body
-
-(* Cheap point-wise loops (the X3/X4 pattern instances) are dominated by
-   scheduling overhead at the default granularity; hand out two big
-   chunks per domain instead. *)
-let iter_pointwise pool ?on n f =
-  match (pool, on) with
-  | Some p, None ->
-      Pool.parallel_for ~chunk:(Int.max 1 (n / (2 * Pool.size p))) p ~lo:0
-        ~hi:n f
-  | _ -> iter pool ?on n f
+let range lo hi body = if hi > lo then body ~lo ~hi
 
 (* The CSR kernels index caller-provided fields with [Array.unsafe_get];
    the mesh side is validated once by [Mesh.csr], the field side here. *)
@@ -50,8 +31,8 @@ let check_len kernel name a n =
    paths to them bit-for-bit, and the [layout] benchmark group measures
    the flattening win against them. *)
 module Ragged = struct
-  let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
+  let kinetic_energy ?on (m : Mesh.t) ~u ~out =
+    iter ?on m.n_cells (fun c ->
         let acc = ref 0. in
         for j = 0 to m.n_edges_on_cell.(c) - 1 do
           let e = m.edges_on_cell.(c).(j) in
@@ -60,8 +41,8 @@ module Ragged = struct
         done;
         out.(c) <- !acc /. m.area_cell.(c))
 
-  let divergence ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
+  let divergence ?on (m : Mesh.t) ~u ~out =
+    iter ?on m.n_cells (fun c ->
         let acc = ref 0. in
         for j = 0 to m.n_edges_on_cell.(c) - 1 do
           let e = m.edges_on_cell.(c).(j) in
@@ -69,8 +50,8 @@ module Ragged = struct
         done;
         out.(c) <- !acc /. m.area_cell.(c))
 
-  let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_vertices (fun v ->
+  let vorticity ?on (m : Mesh.t) ~u ~out =
+    iter ?on m.n_vertices (fun v ->
         let acc = ref 0. in
         for k = 0 to 2 do
           let e = m.edges_on_vertex.(v).(k) in
@@ -79,8 +60,8 @@ module Ragged = struct
         done;
         out.(v) <- !acc /. m.area_triangle.(v))
 
-  let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
-    iter pool ?on m.n_vertices (fun v ->
+  let h_vertex ?on (m : Mesh.t) ~h ~out =
+    iter ?on m.n_vertices (fun v ->
         let acc = ref 0. in
         for k = 0 to 2 do
           acc :=
@@ -89,8 +70,8 @@ module Ragged = struct
         done;
         out.(v) <- !acc /. m.area_triangle.(v))
 
-  let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
-    iter pool ?on m.n_cells (fun c ->
+  let pv_cell ?on (m : Mesh.t) ~pv_vertex ~out =
+    iter ?on m.n_cells (fun c ->
         let n = m.n_edges_on_cell.(c) in
         let acc = ref 0. in
         for j = 0 to n - 1 do
@@ -100,8 +81,8 @@ module Ragged = struct
         done;
         out.(c) <- !acc /. m.area_cell.(c))
 
-  let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
-    iter pool ?on m.n_edges (fun e ->
+  let tangential_velocity ?on (m : Mesh.t) ~u ~out =
+    iter ?on m.n_edges (fun e ->
         let acc = ref 0. in
         let eoe = m.edges_on_edge.(e) and w = m.weights_on_edge.(e) in
         for i = 0 to m.n_edges_on_edge.(e) - 1 do
@@ -109,8 +90,8 @@ module Ragged = struct
         done;
         out.(e) <- !acc)
 
-  let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
-    iter pool ?on m.n_cells (fun c ->
+  let tend_h ?on (m : Mesh.t) ~h_edge ~u ~out =
+    iter ?on m.n_cells (fun c ->
         let acc = ref 0. in
         for j = 0 to m.n_edges_on_cell.(c) - 1 do
           let e = m.edges_on_cell.(c).(j) in
@@ -121,9 +102,9 @@ module Ragged = struct
         done;
         out.(c) <- -.(!acc) /. m.area_cell.(c))
 
-  let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity
+  let tend_u ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity
       ~h ~b ~ke ~h_edge ~u ~pv_edge ~out =
-    iter pool ?on m.n_edges (fun e ->
+    iter ?on m.n_edges (fun e ->
         (* Perp flux; the symmetric potential-vorticity average makes the
            Coriolis force exactly energy-neutral. *)
         let q_flux = ref 0. in
@@ -142,21 +123,21 @@ module Ragged = struct
         let grad = (energy c2 -. energy c1) /. m.dc_edge.(e) in
         out.(e) <- !q_flux -. grad)
 
-  let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
+  let tracer_edge ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
     match (scheme : Config.tracer_adv) with
     | Config.Centered ->
-        iter pool ?on m.n_edges (fun e ->
+        iter ?on m.n_edges (fun e ->
             let c1 = m.cells_on_edge.(e).(0)
             and c2 = m.cells_on_edge.(e).(1) in
             out.(e) <- 0.5 *. (tracer.(c1) +. tracer.(c2)))
     | Config.Upwind ->
-        iter pool ?on m.n_edges (fun e ->
+        iter ?on m.n_edges (fun e ->
             let c1 = m.cells_on_edge.(e).(0)
             and c2 = m.cells_on_edge.(e).(1) in
             out.(e) <- (if u.(e) >= 0. then tracer.(c1) else tracer.(c2)))
 
-  let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
-    iter pool ?on m.n_cells (fun c ->
+  let tend_tracer ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
+    iter ?on m.n_cells (fun c ->
         let acc = ref 0. in
         for j = 0 to m.n_edges_on_cell.(c) - 1 do
           let e = m.edges_on_cell.(c).(j) in
@@ -167,8 +148,8 @@ module Ragged = struct
         done;
         out.(c) <- -.(!acc) /. m.area_cell.(c))
 
-  let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
-    iter pool ?on m.n_edges (fun e ->
+  let velocity_laplacian ?on (m : Mesh.t) ~divergence ~vorticity ~out =
+    iter ?on m.n_edges (fun e ->
         let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
         let v1 = m.vertices_on_edge.(e).(0)
         and v2 = m.vertices_on_edge.(e).(1) in
@@ -179,8 +160,8 @@ end
 
 (* --- compute_solve_diagnostics ---------------------------------------- *)
 
-let d2fdx2 ?pool ?on (m : Mesh.t) ~h ~out =
-  iter pool ?on m.n_cells (fun c ->
+let d2fdx2 ?on (m : Mesh.t) ~h ~out =
+  iter ?on m.n_cells (fun c ->
       let acc = ref 0. in
       for j = 0 to m.n_edges_on_cell.(c) - 1 do
         let e = m.edges_on_cell.(c).(j) in
@@ -198,30 +179,30 @@ let d2fdx2_scatter (m : Mesh.t) ~h ~out =
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
   done
 
-let h_edge ?pool ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
+let h_edge ?on (m : Mesh.t) ~order ~h ~d2fdx2_cell ~out =
   match (order : Config.h_adv_order) with
   | Second ->
-      iter pool ?on m.n_edges (fun e ->
+      iter ?on m.n_edges (fun e ->
           let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
           out.(e) <- 0.5 *. (h.(c1) +. h.(c2)))
   | Fourth ->
-      iter pool ?on m.n_edges (fun e ->
+      iter ?on m.n_edges (fun e ->
           let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
           let dc = m.dc_edge.(e) in
           out.(e) <-
             (0.5 *. (h.(c1) +. h.(c2)))
             -. (dc *. dc /. 24. *. (d2fdx2_cell.(c1) +. d2fdx2_cell.(c2))))
 
-let kinetic_energy ?pool ?on (m : Mesh.t) ~u ~out =
+let kinetic_energy ?on (m : Mesh.t) ~u ~out =
   match on with
-  | Some _ -> Ragged.kinetic_energy ?pool ?on m ~u ~out
+  | Some _ -> Ragged.kinetic_energy ?on m ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "kinetic_energy" "u" u m.n_edges;
       check_len "kinetic_energy" "out" out m.n_cells;
       let offsets = csr.cell_offsets and edges = csr.cell_edges in
       let dc = m.dc_edge and dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+      range 0 m.n_cells (fun ~lo ~hi ->
           for c = lo to hi - 1 do
             let j0 = Array.unsafe_get offsets c
             and j1 = Array.unsafe_get offsets (c + 1) in
@@ -246,9 +227,9 @@ let kinetic_energy_scatter (m : Mesh.t) ~u ~out =
     out.(c2) <- out.(c2) +. (contrib /. m.area_cell.(c2))
   done
 
-let divergence ?pool ?on (m : Mesh.t) ~u ~out =
+let divergence ?on (m : Mesh.t) ~u ~out =
   match on with
-  | Some _ -> Ragged.divergence ?pool ?on m ~u ~out
+  | Some _ -> Ragged.divergence ?on m ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "divergence" "u" u m.n_edges;
@@ -257,7 +238,7 @@ let divergence ?pool ?on (m : Mesh.t) ~u ~out =
       and edges = csr.cell_edges
       and signs = csr.cell_edge_signs in
       let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+      range 0 m.n_cells (fun ~lo ~hi ->
           for c = lo to hi - 1 do
             let j0 = Array.unsafe_get offsets c
             and j1 = Array.unsafe_get offsets (c + 1) in
@@ -281,16 +262,16 @@ let divergence_scatter (m : Mesh.t) ~u ~out =
     out.(c2) <- out.(c2) -. (flux /. m.area_cell.(c2))
   done
 
-let vorticity ?pool ?on (m : Mesh.t) ~u ~out =
+let vorticity ?on (m : Mesh.t) ~u ~out =
   match on with
-  | Some _ -> Ragged.vorticity ?pool ?on m ~u ~out
+  | Some _ -> Ragged.vorticity ?on m ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "vorticity" "u" u m.n_edges;
       check_len "vorticity" "out" out m.n_vertices;
       let ve = csr.vertex_edges and signs = csr.vertex_edge_signs in
       let dc = m.dc_edge and area = m.area_triangle in
-      range pool 0 m.n_vertices (fun ~lo ~hi ->
+      range 0 m.n_vertices (fun ~lo ~hi ->
           for v = lo to hi - 1 do
             let b = 3 * v in
             let acc = ref 0. in
@@ -319,16 +300,16 @@ let vorticity_scatter (m : Mesh.t) ~u ~out =
       m.vertices_on_edge.(e)
   done
 
-let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
+let h_vertex ?on (m : Mesh.t) ~h ~out =
   match on with
-  | Some _ -> Ragged.h_vertex ?pool ?on m ~h ~out
+  | Some _ -> Ragged.h_vertex ?on m ~h ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "h_vertex" "h" h m.n_cells;
       check_len "h_vertex" "out" out m.n_vertices;
       let vc = csr.vertex_cells and kites = csr.vertex_kite_areas in
       let area = m.area_triangle in
-      range pool 0 m.n_vertices (fun ~lo ~hi ->
+      range 0 m.n_vertices (fun ~lo ~hi ->
           for v = lo to hi - 1 do
             let b = 3 * v in
             let acc = ref 0. in
@@ -341,13 +322,13 @@ let h_vertex ?pool ?on (m : Mesh.t) ~h ~out =
             Array.unsafe_set out v (!acc /. Array.unsafe_get area v)
           done)
 
-let pv_vertex ?pool ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
-  iter pool ?on m.n_vertices (fun v ->
+let pv_vertex ?on (m : Mesh.t) ~vorticity ~h_vertex ~out =
+  iter ?on m.n_vertices (fun v ->
       out.(v) <- (m.f_vertex.(v) +. vorticity.(v)) /. h_vertex.(v))
 
-let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
+let pv_cell ?on (m : Mesh.t) ~pv_vertex ~out =
   match on with
-  | Some _ -> Ragged.pv_cell ?pool ?on m ~pv_vertex ~out
+  | Some _ -> Ragged.pv_cell ?on m ~pv_vertex ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "pv_cell" "pv_vertex" pv_vertex m.n_vertices;
@@ -357,7 +338,7 @@ let pv_cell ?pool ?on (m : Mesh.t) ~pv_vertex ~out =
       and vc = csr.vertex_cells
       and kites = csr.vertex_kite_areas in
       let area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+      range 0 m.n_cells (fun ~lo ~hi ->
           for c = lo to hi - 1 do
             let j0 = Array.unsafe_get offsets c
             and j1 = Array.unsafe_get offsets (c + 1) in
@@ -390,9 +371,9 @@ let pv_cell_scatter (m : Mesh.t) ~pv_vertex ~out =
     done
   done
 
-let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
+let tangential_velocity ?on (m : Mesh.t) ~u ~out =
   match on with
-  | Some _ -> Ragged.tangential_velocity ?pool ?on m ~u ~out
+  | Some _ -> Ragged.tangential_velocity ?on m ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "tangential_velocity" "u" u m.n_edges;
@@ -400,7 +381,7 @@ let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
       let offsets = csr.eoe_offsets
       and eoe = csr.eoe_edges
       and w = csr.eoe_weights in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+      range 0 m.n_edges (fun ~lo ~hi ->
           for e = lo to hi - 1 do
             let i0 = Array.unsafe_get offsets e
             and i1 = Array.unsafe_get offsets (e + 1) in
@@ -414,16 +395,16 @@ let tangential_velocity ?pool ?on (m : Mesh.t) ~u ~out =
             Array.unsafe_set out e !acc
           done)
 
-let grad_pv ?pool ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
-  iter pool ?on m.n_edges (fun e ->
+let grad_pv ?on (m : Mesh.t) ~pv_cell ~pv_vertex ~out_n ~out_t =
+  iter ?on m.n_edges (fun e ->
       let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
       let v1 = m.vertices_on_edge.(e).(0) and v2 = m.vertices_on_edge.(e).(1) in
       out_n.(e) <- (pv_cell.(c2) -. pv_cell.(c1)) /. m.dc_edge.(e);
       out_t.(e) <- (pv_vertex.(v2) -. pv_vertex.(v1)) /. m.dv_edge.(e))
 
-let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
+let pv_edge ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
     ~grad_pv_t ~u ~v_tangential ~out =
-  iter pool ?on m.n_edges (fun e ->
+  iter ?on m.n_edges (fun e ->
       let v1 = m.vertices_on_edge.(e).(0) and v2 = m.vertices_on_edge.(e).(1) in
       let base = 0.5 *. (pv_vertex.(v1) +. pv_vertex.(v2)) in
       let advect = (u.(e) *. grad_pv_n.(e)) +. (v_tangential.(e) *. grad_pv_t.(e)) in
@@ -431,9 +412,9 @@ let pv_edge ?pool ?on (m : Mesh.t) ~apvm_factor ~dt ~pv_vertex ~grad_pv_n
 
 (* --- compute_tend ------------------------------------------------------ *)
 
-let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
+let tend_h ?on (m : Mesh.t) ~h_edge ~u ~out =
   match on with
-  | Some _ -> Ragged.tend_h ?pool ?on m ~h_edge ~u ~out
+  | Some _ -> Ragged.tend_h ?on m ~h_edge ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "tend_h" "h_edge" h_edge m.n_edges;
@@ -443,7 +424,7 @@ let tend_h ?pool ?on (m : Mesh.t) ~h_edge ~u ~out =
       and edges = csr.cell_edges
       and signs = csr.cell_edge_signs in
       let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+      range 0 m.n_cells (fun ~lo ~hi ->
           for c = lo to hi - 1 do
             let j0 = Array.unsafe_get offsets c
             and j1 = Array.unsafe_get offsets (c + 1) in
@@ -467,11 +448,11 @@ let tend_h_scatter (m : Mesh.t) ~h_edge ~u ~out =
     out.(c2) <- out.(c2) +. (flux /. m.area_cell.(c2))
   done
 
-let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
+let tend_u ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
     ~b ~ke ~h_edge ~u ~pv_edge ~out =
   match on with
   | Some _ ->
-      Ragged.tend_u ?pool ?on ~pv_average m ~gravity ~h ~b ~ke ~h_edge ~u
+      Ragged.tend_u ?on ~pv_average m ~gravity ~h ~b ~ke ~h_edge ~u
         ~pv_edge ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
@@ -487,7 +468,7 @@ let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
       and w = csr.eoe_weights
       and ec = csr.edge_cells in
       let dc = m.dc_edge in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+      range 0 m.n_edges (fun ~lo ~hi ->
           for e = lo to hi - 1 do
             (* Perp flux; the symmetric potential-vorticity average makes
                the Coriolis force exactly energy-neutral. *)
@@ -524,9 +505,9 @@ let tend_u ?pool ?on ?(pv_average = Config.Symmetric) (m : Mesh.t) ~gravity ~h
             Array.unsafe_set out e (!q_flux -. grad)
           done)
 
-let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
+let dissipation ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
   if visc2 <> 0. then
-    iter pool ?on m.n_edges (fun e ->
+    iter ?on m.n_edges (fun e ->
         let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
         let v1 = m.vertices_on_edge.(e).(0)
         and v2 = m.vertices_on_edge.(e).(1) in
@@ -536,36 +517,36 @@ let dissipation ?pool ?on (m : Mesh.t) ~visc2 ~divergence ~vorticity ~tend_u =
         in
         tend_u.(e) <- tend_u.(e) +. (visc2 *. lap))
 
-let local_forcing ?pool ?on (m : Mesh.t) ~drag ~u ~tend_u =
+let local_forcing ?on (m : Mesh.t) ~drag ~u ~tend_u =
   if drag <> 0. then
-    iter pool ?on m.n_edges (fun e -> tend_u.(e) <- tend_u.(e) -. (drag *. u.(e)))
+    iter ?on m.n_edges (fun e -> tend_u.(e) <- tend_u.(e) -. (drag *. u.(e)))
 
 (* --- remaining kernels -------------------------------------------------- *)
 
-let enforce_boundary_edge ?pool ?on (m : Mesh.t) ~tend_u =
-  iter pool ?on m.n_edges (fun e ->
+let enforce_boundary_edge ?on (m : Mesh.t) ~tend_u =
+  iter ?on m.n_edges (fun e ->
       if m.boundary_edge.(e) then tend_u.(e) <- 0.)
 
-let next_substep_state ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
+let next_substep_state ?on_cells ?on_edges (m : Mesh.t) ~coef
     ~(base : Fields.state) ~(tend : Fields.tendencies)
     ~(provis : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun c ->
+  iter ?on:on_cells m.n_cells (fun c ->
       provis.h.(c) <- base.h.(c) +. (coef *. tend.tend_h.(c)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun e ->
+  iter ?on:on_edges m.n_edges (fun e ->
       provis.u.(e) <- base.u.(e) +. (coef *. tend.tend_u.(e)))
 
-let accumulate ?pool ?on_cells ?on_edges (m : Mesh.t) ~coef
+let accumulate ?on_cells ?on_edges (m : Mesh.t) ~coef
     ~(tend : Fields.tendencies) ~(accum : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun c ->
+  iter ?on:on_cells m.n_cells (fun c ->
       accum.h.(c) <- accum.h.(c) +. (coef *. tend.tend_h.(c)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun e ->
+  iter ?on:on_edges m.n_edges (fun e ->
       accum.u.(e) <- accum.u.(e) +. (coef *. tend.tend_u.(e)))
 
 (* --- extensions beyond the paper's Table I ------------------------------ *)
 
-let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
+let tracer_edge ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
   match on with
-  | Some _ -> Ragged.tracer_edge ?pool ?on m ~scheme ~tracer ~u ~out
+  | Some _ -> Ragged.tracer_edge ?on m ~scheme ~tracer ~u ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "tracer_edge" "tracer" tracer m.n_cells;
@@ -574,7 +555,7 @@ let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
       let ec = csr.edge_cells in
       (match (scheme : Config.tracer_adv) with
       | Config.Centered ->
-          range pool 0 m.n_edges (fun ~lo ~hi ->
+          range 0 m.n_edges (fun ~lo ~hi ->
               for e = lo to hi - 1 do
                 let c1 = Array.unsafe_get ec (2 * e)
                 and c2 = Array.unsafe_get ec ((2 * e) + 1) in
@@ -583,7 +564,7 @@ let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
                   *. (Array.unsafe_get tracer c1 +. Array.unsafe_get tracer c2))
               done)
       | Config.Upwind ->
-          range pool 0 m.n_edges (fun ~lo ~hi ->
+          range 0 m.n_edges (fun ~lo ~hi ->
               for e = lo to hi - 1 do
                 let c1 = Array.unsafe_get ec (2 * e)
                 and c2 = Array.unsafe_get ec ((2 * e) + 1) in
@@ -593,9 +574,9 @@ let tracer_edge ?pool ?on (m : Mesh.t) ~scheme ~tracer ~u ~out =
                    else Array.unsafe_get tracer c2)
               done))
 
-let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
+let tend_tracer ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
   match on with
-  | Some _ -> Ragged.tend_tracer ?pool ?on m ~h_edge ~u ~tracer_edge ~out
+  | Some _ -> Ragged.tend_tracer ?on m ~h_edge ~u ~tracer_edge ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "tend_tracer" "h_edge" h_edge m.n_edges;
@@ -606,7 +587,7 @@ let tend_tracer ?pool ?on (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
       and edges = csr.cell_edges
       and signs = csr.cell_edge_signs in
       let dv = m.dv_edge and area = m.area_cell in
-      range pool 0 m.n_cells (fun ~lo ~hi ->
+      range 0 m.n_cells (fun ~lo ~hi ->
           for c = lo to hi - 1 do
             let j0 = Array.unsafe_get offsets c
             and j1 = Array.unsafe_get offsets (c + 1) in
@@ -631,9 +612,9 @@ let tend_tracer_scatter (m : Mesh.t) ~h_edge ~u ~tracer_edge ~out =
     out.(c2) <- out.(c2) +. (flux /. m.area_cell.(c2))
   done
 
-let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
+let velocity_laplacian ?on (m : Mesh.t) ~divergence ~vorticity ~out =
   match on with
-  | Some _ -> Ragged.velocity_laplacian ?pool ?on m ~divergence ~vorticity ~out
+  | Some _ -> Ragged.velocity_laplacian ?on m ~divergence ~vorticity ~out
   | None ->
       let csr : Mesh.csr = Mesh.csr m in
       check_len "velocity_laplacian" "divergence" divergence m.n_cells;
@@ -641,7 +622,7 @@ let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
       check_len "velocity_laplacian" "out" out m.n_edges;
       let ec = csr.edge_cells and ev = csr.edge_vertices in
       let dc = m.dc_edge and dv = m.dv_edge in
-      range pool 0 m.n_edges (fun ~lo ~hi ->
+      range 0 m.n_edges (fun ~lo ~hi ->
           for e = lo to hi - 1 do
             let c1 = Array.unsafe_get ec (2 * e)
             and c2 = Array.unsafe_get ec ((2 * e) + 1) in
@@ -656,9 +637,9 @@ let velocity_laplacian ?pool ?on (m : Mesh.t) ~divergence ~vorticity ~out =
                  /. Array.unsafe_get dv e))
           done)
 
-let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
+let del4_dissipation ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
   if visc4 <> 0. then
-    iter pool ?on m.n_edges (fun e ->
+    iter ?on m.n_edges (fun e ->
         let c1 = m.cells_on_edge.(e).(0) and c2 = m.cells_on_edge.(e).(1) in
         let v1 = m.vertices_on_edge.(e).(0)
         and v2 = m.vertices_on_edge.(e).(1) in
@@ -668,13 +649,13 @@ let del4_dissipation ?pool ?on (m : Mesh.t) ~visc4 ~div_lap ~vort_lap ~tend_u =
         in
         tend_u.(e) <- tend_u.(e) -. (visc4 *. lap2))
 
-let next_substep_tracers ?pool ?on (m : Mesh.t) ~coef ~(base : Fields.state)
+let next_substep_tracers ?on (m : Mesh.t) ~coef ~(base : Fields.state)
     ~(tend : Fields.tendencies) ~(provis : Fields.state) =
   Array.iteri
     (fun k row ->
       let base_row = base.Fields.tracers.(k) in
       let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter ?on m.n_cells (fun c ->
           row.(c) <-
             ((base.Fields.h.(c) *. base_row.(c)) +. (coef *. tend_row.(c)))
             /. provis.Fields.h.(c)))
@@ -682,42 +663,42 @@ let next_substep_tracers ?pool ?on (m : Mesh.t) ~coef ~(base : Fields.state)
 
 (* The accumulator rows hold the conservative quantity h * tracer during
    the step; [finalize_tracers] converts back to concentrations. *)
-let seed_tracer_accumulator ?pool ?on (m : Mesh.t) ~(state : Fields.state)
+let seed_tracer_accumulator ?on (m : Mesh.t) ~(state : Fields.state)
     ~(accum : Fields.state) =
   Array.iteri
     (fun k row ->
       let state_row = state.Fields.tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter ?on m.n_cells (fun c ->
           row.(c) <- state.Fields.h.(c) *. state_row.(c)))
     accum.Fields.tracers
 
-let accumulate_tracers ?pool ?on (m : Mesh.t) ~coef
+let accumulate_tracers ?on (m : Mesh.t) ~coef
     ~(tend : Fields.tendencies) ~(accum : Fields.state) =
   Array.iteri
     (fun k row ->
       let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter ?on m.n_cells (fun c ->
           row.(c) <- row.(c) +. (coef *. tend_row.(c))))
     accum.Fields.tracers
 
-let finalize_tracers ?pool ?on (m : Mesh.t) ~(state : Fields.state) =
+let finalize_tracers ?on (m : Mesh.t) ~(state : Fields.state) =
   Array.iter
     (fun row ->
-      iter_pointwise pool ?on m.n_cells (fun c ->
+      iter ?on m.n_cells (fun c ->
           row.(c) <- row.(c) /. state.Fields.h.(c)))
     state.Fields.tracers
 
 (* Convex/affine state blend for multi-stage integrators:
    out = a*base + b*other + c*tend.  Tracer rows blend in conservative
    (h * tracer) form, so [out.h] is written first. *)
-let blend ?pool ?on_cells ?on_edges (m : Mesh.t) ~a ~(base : Fields.state) ~b
+let blend ?on_cells ?on_edges (m : Mesh.t) ~a ~(base : Fields.state) ~b
     ~(other : Fields.state) ~c ~(tend : Fields.tendencies)
     ~(out : Fields.state) =
-  iter_pointwise pool ?on:on_cells m.n_cells (fun i ->
+  iter ?on:on_cells m.n_cells (fun i ->
       out.Fields.h.(i) <-
         (a *. base.Fields.h.(i)) +. (b *. other.Fields.h.(i))
         +. (c *. tend.Fields.tend_h.(i)));
-  iter_pointwise pool ?on:on_edges m.n_edges (fun i ->
+  iter ?on:on_edges m.n_edges (fun i ->
       out.Fields.u.(i) <-
         (a *. base.Fields.u.(i)) +. (b *. other.Fields.u.(i))
         +. (c *. tend.Fields.tend_u.(i)));
@@ -726,7 +707,7 @@ let blend ?pool ?on_cells ?on_edges (m : Mesh.t) ~a ~(base : Fields.state) ~b
       let base_row = base.Fields.tracers.(k) in
       let other_row = other.Fields.tracers.(k) in
       let tend_row = tend.Fields.tend_tracers.(k) in
-      iter_pointwise pool ?on:on_cells m.n_cells (fun i ->
+      iter ?on:on_cells m.n_cells (fun i ->
           row.(i) <-
             ((a *. base.Fields.h.(i) *. base_row.(i))
             +. (b *. other.Fields.h.(i) *. other_row.(i))

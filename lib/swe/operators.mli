@@ -9,7 +9,8 @@
       it concurrently would race exactly as the paper describes;
     - the gather form (paper Algorithm 3 after regularity-aware loop
       refactoring): output-order loops that only read neighbours, safe
-      to execute in parallel, hence the optional [?pool].
+      to execute in parallel — the task runtime ([Mpas_runtime])
+      schedules them over disjoint index ranges.
 
     Regular loops (already output-ordered) only have the gather form.
     All functions write their full output range, so no zeroing is
@@ -25,15 +26,10 @@
     expressions in the same order, so results are bit-identical. *)
 
 open Mpas_mesh
-open Mpas_par
 
-(** [pfor pool lo hi f]: plain loop without a pool, chunked parallel
-    loop with one.  Shared by every gather-form kernel. *)
-val pfor : Pool.t option -> int -> int -> (int -> unit) -> unit
-
-(** [iter pool ?on n f] runs [f] over [0..n-1], or over exactly the
-    indices of [on] when given. *)
-val iter : Pool.t option -> ?on:int array -> int -> (int -> unit) -> unit
+(** [iter ?on n f] runs [f] over [0..n-1], or over exactly the
+    indices of [on] when given.  Shared by every gather-form kernel. *)
+val iter : ?on:int array -> int -> (int -> unit) -> unit
 
 (** Every gather-form kernel accepts [?on]: when given, the loop runs
     over exactly those indices instead of the full output range — the
@@ -49,31 +45,30 @@ val iter : Pool.t option -> ?on:int array -> int -> (int -> unit) -> unit
     flattening win against them. *)
 module Ragged : sig
   val kinetic_energy :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+    ?on:int array -> Mesh.t -> u:float array ->
     out:float array -> unit
 
   val divergence :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+    ?on:int array -> Mesh.t -> u:float array ->
     out:float array -> unit
 
   val vorticity :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+    ?on:int array -> Mesh.t -> u:float array ->
     out:float array -> unit
 
   val h_vertex :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> h:float array ->
+    ?on:int array -> Mesh.t -> h:float array ->
     out:float array -> unit
 
   val pv_cell :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> pv_vertex:float array ->
+    ?on:int array -> Mesh.t -> pv_vertex:float array ->
     out:float array -> unit
 
   val tangential_velocity :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+    ?on:int array -> Mesh.t -> u:float array ->
     out:float array -> unit
 
   val tend_h :
-    ?pool:Pool.t ->
     ?on:int array ->
     Mesh.t ->
     h_edge:float array ->
@@ -82,7 +77,6 @@ module Ragged : sig
     unit
 
   val tend_u :
-    ?pool:Pool.t ->
     ?on:int array ->
     ?pv_average:Config.pv_average ->
     Mesh.t ->
@@ -97,15 +91,15 @@ module Ragged : sig
     unit
 
   val tracer_edge :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> scheme:Config.tracer_adv ->
+    ?on:int array -> Mesh.t -> scheme:Config.tracer_adv ->
     tracer:float array -> u:float array -> out:float array -> unit
 
   val tend_tracer :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> h_edge:float array ->
+    ?on:int array -> Mesh.t -> h_edge:float array ->
     u:float array -> tracer_edge:float array -> out:float array -> unit
 
   val velocity_laplacian :
-    ?pool:Pool.t -> ?on:int array -> Mesh.t -> divergence:float array ->
+    ?on:int array -> Mesh.t -> divergence:float array ->
     vorticity:float array -> out:float array -> unit
 end
 
@@ -114,7 +108,7 @@ end
 (** H2: cell Laplacian of thickness, input to the fourth-order
     thickness interpolation. *)
 val d2fdx2 :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> h:float array ->
+  ?on:int array -> Mesh.t -> h:float array ->
   out:float array -> unit
 
 val d2fdx2_scatter : Mesh.t -> h:float array -> out:float array -> unit
@@ -122,7 +116,6 @@ val d2fdx2_scatter : Mesh.t -> h:float array -> out:float array -> unit
 (** B2: thickness at edges; [Fourth] applies the [d2fdx2]
     correction. *)
 val h_edge :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   order:Config.h_adv_order ->
@@ -133,34 +126,33 @@ val h_edge :
 
 (** A2: kinetic energy at cells, [ke = (1/A) sum 1/4 dc dv u^2]. *)
 val kinetic_energy :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+  ?on:int array -> Mesh.t -> u:float array ->
   out:float array -> unit
 
 val kinetic_energy_scatter : Mesh.t -> u:float array -> out:float array -> unit
 
 (** A3: velocity divergence at cells. *)
 val divergence :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+  ?on:int array -> Mesh.t -> u:float array ->
   out:float array -> unit
 
 val divergence_scatter : Mesh.t -> u:float array -> out:float array -> unit
 
 (** D1: relative vorticity (circulation / triangle area) at vertices. *)
 val vorticity :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+  ?on:int array -> Mesh.t -> u:float array ->
   out:float array -> unit
 
 val vorticity_scatter : Mesh.t -> u:float array -> out:float array -> unit
 
 (** C2: thickness at vertices, kite-area weighted. *)
 val h_vertex :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> h:float array ->
+  ?on:int array -> Mesh.t -> h:float array ->
   out:float array -> unit
 
 (** D2: potential vorticity at vertices,
     [(f + vorticity) / h_vertex]. *)
 val pv_vertex :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   vorticity:float array ->
@@ -170,7 +162,7 @@ val pv_vertex :
 
 (** E: potential vorticity averaged to cells (kite weights). *)
 val pv_cell :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> pv_vertex:float array ->
+  ?on:int array -> Mesh.t -> pv_vertex:float array ->
   out:float array -> unit
 
 val pv_cell_scatter :
@@ -178,13 +170,12 @@ val pv_cell_scatter :
 
 (** G: tangential velocity from the TRiSK weights. *)
 val tangential_velocity :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> u:float array ->
+  ?on:int array -> Mesh.t -> u:float array ->
   out:float array -> unit
 
 (** H1: PV gradients at edges (normal from [pv_cell], tangential from
     [pv_vertex]), inputs of the APVM upwinding. *)
 val grad_pv :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   pv_cell:float array ->
@@ -197,7 +188,6 @@ val grad_pv :
     anticipated-PV correction
     [- apvm * dt * (u grad_n + v grad_t)]. *)
 val pv_edge :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   apvm_factor:float ->
@@ -214,7 +204,6 @@ val pv_edge :
 
 (** A1: thickness tendency, [-div(h_edge u)]. *)
 val tend_h :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   h_edge:float array ->
@@ -229,7 +218,6 @@ val tend_h_scatter :
     [q_e Fperp_e - grad (g (h + b) + ke)] with the energy-conserving
     symmetric PV average [0.5 (q_e + q_e')] inside the perp flux. *)
 val tend_u :
-  ?pool:Pool.t ->
   ?on:int array ->
   ?pv_average:Config.pv_average ->
   Mesh.t ->
@@ -247,7 +235,6 @@ val tend_u :
     [+ visc2 (grad divergence - curl vorticity)].  No-op when
     [visc2 = 0]. *)
 val dissipation :
-  ?pool:Pool.t ->
   ?on:int array ->
   Mesh.t ->
   visc2:float ->
@@ -259,18 +246,17 @@ val dissipation :
 (** X1: local momentum forcing (linear bottom drag) added into
     [tend_u].  No-op when [drag = 0]. *)
 val local_forcing :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> drag:float -> u:float array ->
+  ?on:int array -> Mesh.t -> drag:float -> u:float array ->
   tend_u:float array -> unit
 
 (** {1 remaining kernels} *)
 
 (** X2 (enforce_boundary_edge): zero the tendency on boundary edges. *)
 val enforce_boundary_edge :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> tend_u:float array -> unit
+  ?on:int array -> Mesh.t -> tend_u:float array -> unit
 
 (** X3 (compute_next_substep_state): [provis = base + coef * tend]. *)
 val next_substep_state :
-  ?pool:Pool.t ->
   ?on_cells:int array ->
   ?on_edges:int array ->
   Mesh.t ->
@@ -282,7 +268,6 @@ val next_substep_state :
 
 (** X4 + X5 (accumulative_update): [accum += coef * tend]. *)
 val accumulate :
-  ?pool:Pool.t ->
   ?on_cells:int array ->
   ?on_edges:int array ->
   Mesh.t ->
@@ -300,14 +285,14 @@ val accumulate :
 
 (** Tracer concentration at edges. *)
 val tracer_edge :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> scheme:Config.tracer_adv ->
+  ?on:int array -> Mesh.t -> scheme:Config.tracer_adv ->
   tracer:float array -> u:float array -> out:float array -> unit
 
 (** Tendency of [h * tracer]: [-div(h_edge tracer_edge u)].  With a
     constant tracer this reduces exactly to [tend_h], so constants are
     preserved to machine precision (compatibility with continuity). *)
 val tend_tracer :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> h_edge:float array ->
+  ?on:int array -> Mesh.t -> h_edge:float array ->
   u:float array -> tracer_edge:float array -> out:float array -> unit
 
 val tend_tracer_scatter :
@@ -317,42 +302,41 @@ val tend_tracer_scatter :
 (** Vector Laplacian of the velocity at edges,
     [grad(div) - curl(vorticity)]. *)
 val velocity_laplacian :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> divergence:float array ->
+  ?on:int array -> Mesh.t -> divergence:float array ->
   vorticity:float array -> out:float array -> unit
 
 (** Biharmonic diffusion: [tend_u -= visc4 * lap(lap_u)], where
     [div_lap]/[vort_lap] are divergence and vorticity of the velocity
     Laplacian.  No-op when [visc4 = 0]. *)
 val del4_dissipation :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> visc4:float ->
+  ?on:int array -> Mesh.t -> visc4:float ->
   div_lap:float array -> vort_lap:float array -> tend_u:float array -> unit
 
 (** [provis.tracers = (base.h * base.tracers + coef * tend) / provis.h];
     [provis.h] must already hold the sub-step thickness. *)
 val next_substep_tracers :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> coef:float ->
+  ?on:int array -> Mesh.t -> coef:float ->
   base:Fields.state -> tend:Fields.tendencies -> provis:Fields.state -> unit
 
 (** Store [h * tracer] into the accumulator rows. *)
 val seed_tracer_accumulator :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> state:Fields.state ->
+  ?on:int array -> Mesh.t -> state:Fields.state ->
   accum:Fields.state -> unit
 
 (** [accum_rows += coef * tend] (conservative form). *)
 val accumulate_tracers :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> coef:float ->
+  ?on:int array -> Mesh.t -> coef:float ->
   tend:Fields.tendencies -> accum:Fields.state -> unit
 
 (** Convert the state's tracer rows from [h * tracer] back to
     concentrations by dividing by the updated [state.h]. *)
 val finalize_tracers :
-  ?pool:Pool.t -> ?on:int array -> Mesh.t -> state:Fields.state -> unit
+  ?on:int array -> Mesh.t -> state:Fields.state -> unit
 
 (** Affine state blend for multi-stage integrators:
     [out = a*base + b*other + c*tend], tracers combined in conservative
     [h * tracer] form.  [out] must not alias [base] or [other]. *)
 val blend :
-  ?pool:Pool.t ->
   ?on_cells:int array ->
   ?on_edges:int array ->
   Mesh.t ->

@@ -54,8 +54,8 @@ let init (m : Mesh.t) =
 (* A4 alone: the Cartesian least-squares reconstruction.  Kept
    bit-identical to the fused [run]: the accumulation is the same, only
    the horizontal projection is deferred to [run_horizontal]. *)
-let run_cartesian ?pool ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
+let run_cartesian ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
+  Operators.iter ?on m.n_cells (fun c ->
       let acc = ref Vec3.zero in
       let coefs = t.coef.(c) in
       for j = 0 to m.n_edges_on_cell.(c) - 1 do
@@ -71,8 +71,8 @@ let run_cartesian ?pool ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
    exactly the dot products of the fused form (they are the same float64
    values), so run_cartesian followed by run_horizontal matches [run]
    bit for bit. *)
-let run_horizontal ?pool ?on t (m : Mesh.t) ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
+let run_horizontal ?on t (m : Mesh.t) ~(out : Fields.reconstruction) =
+  Operators.iter ?on m.n_cells (fun c ->
       let v = { Vec3.x = out.ux.(c); y = out.uy.(c); z = out.uz.(c) } in
       out.zonal.(c) <- Vec3.dot v t.east.(c);
       out.meridional.(c) <- Vec3.dot v t.north.(c))
@@ -107,8 +107,8 @@ let run_range t (m : Mesh.t) ~u ~(out : Fields.reconstruction) ~x6 ~lo ~hi =
     end
   done
 
-let run ?pool ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
-  Operators.iter pool ?on m.n_cells (fun c ->
+let run ?on t (m : Mesh.t) ~u ~(out : Fields.reconstruction) =
+  Operators.iter ?on m.n_cells (fun c ->
       let acc = ref Vec3.zero in
       let coefs = t.coef.(c) in
       for j = 0 to m.n_edges_on_cell.(c) - 1 do

@@ -9,7 +9,6 @@
     coefficients in MPAS. *)
 
 open Mpas_mesh
-open Mpas_par
 
 type t
 
@@ -20,7 +19,7 @@ val init : Mesh.t -> t
     derive [out.zonal] and [out.meridional] by projecting onto the
     local east/north directions. *)
 val run :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t -> u:float array ->
+  ?on:int array -> t -> Mesh.t -> u:float array ->
   out:Fields.reconstruction -> unit
 
 (** The two pattern instances separately, for drivers that schedule A4
@@ -29,11 +28,11 @@ val run :
     [out.zonal/meridional] from them (X6).  Running the pair is
     bit-identical to {!run}. *)
 val run_cartesian :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t -> u:float array ->
+  ?on:int array -> t -> Mesh.t -> u:float array ->
   out:Fields.reconstruction -> unit
 
 val run_horizontal :
-  ?pool:Pool.t -> ?on:int array -> t -> Mesh.t ->
+  ?on:int array -> t -> Mesh.t ->
   out:Fields.reconstruction -> unit
 
 (** The fused-runtime tile form: A4 over the contiguous cell range

@@ -1,6 +1,3 @@
-
-open Mpas_par
-
 type kernel =
   | Compute_tend
   | Enforce_boundary_edge
@@ -35,7 +32,6 @@ type workspace = {
 
 type engine = {
   gather : bool;
-  pool : Pool.t option;
   instrument : kernel -> (unit -> unit) -> unit;
   custom : custom option;
 }
@@ -53,14 +49,8 @@ and custom =
 
 let no_instrument _ f = f ()
 
-let original =
-  { gather = false; pool = None; instrument = no_instrument; custom = None }
-
-let refactored =
-  { gather = true; pool = None; instrument = no_instrument; custom = None }
-
-let parallel pool =
-  { gather = true; pool = Some pool; instrument = no_instrument; custom = None }
+let original = { gather = false; instrument = no_instrument; custom = None }
+let refactored = { gather = true; instrument = no_instrument; custom = None }
 
 let with_instrument e instrument = { e with instrument }
 let with_custom e custom = { e with custom = Some custom }
@@ -74,13 +64,7 @@ let observed ?(registry = Mpas_obs.Metrics.default) e =
       (fun k -> (k, Metrics.timer ~registry ("swe.kernel." ^ kernel_name k)))
       all_kernels
   in
-  let layout = if e.gather then "csr" else "ragged" in
-  let domains =
-    match e.pool with Some p -> Mpas_par.Pool.size p | None -> 1
-  in
-  let args =
-    [ ("layout", layout); ("domains", string_of_int domains) ]
-  in
+  let args = [ ("layout", if e.gather then "csr" else "ragged") ] in
   let base = e.instrument in
   with_instrument e (fun kernel f ->
       Metrics.Timer.time (List.assq kernel timers) (fun () ->
@@ -100,18 +84,17 @@ let alloc_workspace ?(n_tracers = 0) m =
 
 let compute_solve_diagnostics e (cfg : Config.t) m ~dt ~(state : Fields.state)
     ~(diag : Fields.diagnostics) =
-  let pool = e.pool in
   let h = state.h and u = state.u in
   if e.gather then begin
     (match cfg.h_adv_order with
     | Config.Second -> ()
-    | Config.Fourth -> Operators.d2fdx2 ?pool m ~h ~out:diag.d2fdx2_cell);
-    Operators.h_edge ?pool m ~order:cfg.h_adv_order ~h
+    | Config.Fourth -> Operators.d2fdx2 m ~h ~out:diag.d2fdx2_cell);
+    Operators.h_edge m ~order:cfg.h_adv_order ~h
       ~d2fdx2_cell:diag.d2fdx2_cell ~out:diag.h_edge;
-    Operators.kinetic_energy ?pool m ~u ~out:diag.ke;
-    Operators.divergence ?pool m ~u ~out:diag.divergence;
-    Operators.vorticity ?pool m ~u ~out:diag.vorticity;
-    Operators.h_vertex ?pool m ~h ~out:diag.h_vertex
+    Operators.kinetic_energy m ~u ~out:diag.ke;
+    Operators.divergence m ~u ~out:diag.divergence;
+    Operators.vorticity m ~u ~out:diag.vorticity;
+    Operators.h_vertex m ~h ~out:diag.h_vertex
   end
   else begin
     (match cfg.h_adv_order with
@@ -124,59 +107,58 @@ let compute_solve_diagnostics e (cfg : Config.t) m ~dt ~(state : Fields.state)
     Operators.vorticity_scatter m ~u ~out:diag.vorticity;
     Operators.h_vertex m ~h ~out:diag.h_vertex
   end;
-  Operators.pv_vertex ?pool m ~vorticity:diag.vorticity ~h_vertex:diag.h_vertex
+  Operators.pv_vertex m ~vorticity:diag.vorticity ~h_vertex:diag.h_vertex
     ~out:diag.pv_vertex;
   (if e.gather then
-     Operators.pv_cell ?pool m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell
+     Operators.pv_cell m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell
    else Operators.pv_cell_scatter m ~pv_vertex:diag.pv_vertex ~out:diag.pv_cell);
-  Operators.tangential_velocity ?pool m ~u ~out:diag.v_tangential;
-  Operators.grad_pv ?pool m ~pv_cell:diag.pv_cell ~pv_vertex:diag.pv_vertex
+  Operators.tangential_velocity m ~u ~out:diag.v_tangential;
+  Operators.grad_pv m ~pv_cell:diag.pv_cell ~pv_vertex:diag.pv_vertex
     ~out_n:diag.grad_pv_n ~out_t:diag.grad_pv_t;
-  Operators.pv_edge ?pool m ~apvm_factor:cfg.apvm_factor ~dt
+  Operators.pv_edge m ~apvm_factor:cfg.apvm_factor ~dt
     ~pv_vertex:diag.pv_vertex ~grad_pv_n:diag.grad_pv_n
     ~grad_pv_t:diag.grad_pv_t ~u ~v_tangential:diag.v_tangential
     ~out:diag.pv_edge;
   Array.iteri
     (fun k tracer ->
-      Operators.tracer_edge ?pool m ~scheme:cfg.tracer_adv ~tracer ~u
+      Operators.tracer_edge m ~scheme:cfg.tracer_adv ~tracer ~u
         ~out:diag.tracer_edge.(k))
     state.Fields.tracers
 
 let compute_tend e (cfg : Config.t) m ~b ~(state : Fields.state)
     ~(diag : Fields.diagnostics) ~(tend : Fields.tendencies) =
-  let pool = e.pool in
   (if e.gather then
-     Operators.tend_h ?pool m ~h_edge:diag.h_edge ~u:state.u ~out:tend.tend_h
+     Operators.tend_h m ~h_edge:diag.h_edge ~u:state.u ~out:tend.tend_h
    else
      Operators.tend_h_scatter m ~h_edge:diag.h_edge ~u:state.u
        ~out:tend.tend_h);
-  Operators.tend_u ?pool ~pv_average:cfg.pv_average m ~gravity:cfg.gravity
+  Operators.tend_u ~pv_average:cfg.pv_average m ~gravity:cfg.gravity
     ~h:state.h ~b ~ke:diag.ke ~h_edge:diag.h_edge ~u:state.u
     ~pv_edge:diag.pv_edge ~out:tend.tend_u;
-  Operators.dissipation ?pool m ~visc2:cfg.visc2 ~divergence:diag.divergence
+  Operators.dissipation m ~visc2:cfg.visc2 ~divergence:diag.divergence
     ~vorticity:diag.vorticity ~tend_u:tend.tend_u;
-  Operators.local_forcing ?pool m ~drag:cfg.bottom_drag ~u:state.u
+  Operators.local_forcing m ~drag:cfg.bottom_drag ~u:state.u
     ~tend_u:tend.tend_u;
   (* Biharmonic diffusion (extension): two more Laplacian sweeps. *)
   if cfg.visc4 <> 0. then begin
-    Operators.velocity_laplacian ?pool m ~divergence:diag.divergence
+    Operators.velocity_laplacian m ~divergence:diag.divergence
       ~vorticity:diag.vorticity ~out:diag.lap_u;
     (if e.gather then begin
-       Operators.divergence ?pool m ~u:diag.lap_u ~out:diag.div_lap;
-       Operators.vorticity ?pool m ~u:diag.lap_u ~out:diag.vort_lap
+       Operators.divergence m ~u:diag.lap_u ~out:diag.div_lap;
+       Operators.vorticity m ~u:diag.lap_u ~out:diag.vort_lap
      end
      else begin
        Operators.divergence_scatter m ~u:diag.lap_u ~out:diag.div_lap;
        Operators.vorticity_scatter m ~u:diag.lap_u ~out:diag.vort_lap
      end);
-    Operators.del4_dissipation ?pool m ~visc4:cfg.visc4 ~div_lap:diag.div_lap
+    Operators.del4_dissipation m ~visc4:cfg.visc4 ~div_lap:diag.div_lap
       ~vort_lap:diag.vort_lap ~tend_u:tend.tend_u
   end;
   (* Tracer transport (extension): conservative flux divergence. *)
   Array.iteri
     (fun k tracer_edge ->
       if e.gather then
-        Operators.tend_tracer ?pool m ~h_edge:diag.h_edge ~u:state.u
+        Operators.tend_tracer m ~h_edge:diag.h_edge ~u:state.u
           ~tracer_edge ~out:tend.tend_tracers.(k)
       else
         Operators.tend_tracer_scatter m ~h_edge:diag.h_edge ~u:state.u
@@ -194,45 +176,45 @@ let rk4_step e cfg m ~b ?recon ~dt ~(state : Fields.state) ~work () =
   Fields.blit_state ~src:state ~dst:work.accum;
   Fields.blit_state ~src:state ~dst:work.provis;
   (* Tracer accumulators carry the conservative quantity h * tracer. *)
-  Operators.seed_tracer_accumulator ?pool:e.pool m ~state ~accum:work.accum;
+  Operators.seed_tracer_accumulator m ~state ~accum:work.accum;
   (* Invariant: work.diag matches work.provis at every compute_tend. *)
   for rk = 0 to 3 do
     e.instrument Compute_tend (fun () ->
         compute_tend e cfg m ~b ~state:work.provis ~diag:work.diag
           ~tend:work.tend);
     e.instrument Enforce_boundary_edge (fun () ->
-        Operators.enforce_boundary_edge ?pool:e.pool m ~tend_u:work.tend.tend_u);
+        Operators.enforce_boundary_edge m ~tend_u:work.tend.tend_u);
     if rk < 3 then begin
       e.instrument Compute_next_substep_state (fun () ->
-          Operators.next_substep_state ?pool:e.pool m ~coef:substep_coef.(rk)
+          Operators.next_substep_state m ~coef:substep_coef.(rk)
             ~base:state ~tend:work.tend ~provis:work.provis;
-          Operators.next_substep_tracers ?pool:e.pool m
+          Operators.next_substep_tracers m
             ~coef:substep_coef.(rk) ~base:state ~tend:work.tend
             ~provis:work.provis);
       e.instrument Compute_solve_diagnostics (fun () ->
           compute_solve_diagnostics e cfg m ~dt ~state:work.provis
             ~diag:work.diag);
       e.instrument Accumulative_update (fun () ->
-          Operators.accumulate ?pool:e.pool m ~coef:accum_coef.(rk)
+          Operators.accumulate m ~coef:accum_coef.(rk)
             ~tend:work.tend ~accum:work.accum;
-          Operators.accumulate_tracers ?pool:e.pool m ~coef:accum_coef.(rk)
+          Operators.accumulate_tracers m ~coef:accum_coef.(rk)
             ~tend:work.tend ~accum:work.accum)
     end
     else begin
       e.instrument Accumulative_update (fun () ->
-          Operators.accumulate ?pool:e.pool m ~coef:accum_coef.(rk)
+          Operators.accumulate m ~coef:accum_coef.(rk)
             ~tend:work.tend ~accum:work.accum;
-          Operators.accumulate_tracers ?pool:e.pool m ~coef:accum_coef.(rk)
+          Operators.accumulate_tracers m ~coef:accum_coef.(rk)
             ~tend:work.tend ~accum:work.accum);
       Fields.blit_state ~src:work.accum ~dst:state;
-      Operators.finalize_tracers ?pool:e.pool m ~state;
+      Operators.finalize_tracers m ~state;
       e.instrument Compute_solve_diagnostics (fun () ->
           compute_solve_diagnostics e cfg m ~dt ~state ~diag:work.diag);
       match recon with
       | None -> ()
       | Some r ->
           e.instrument Mpas_reconstruct (fun () ->
-              Reconstruct.run ?pool:e.pool r m ~u:state.u ~out:work.recon)
+              Reconstruct.run r m ~u:state.u ~out:work.recon)
     end
   done
 
@@ -247,9 +229,9 @@ let ssprk3_step e cfg m ~b ?recon ~dt ~(state : Fields.state) ~work () =
     e.instrument Compute_tend (fun () ->
         compute_tend e cfg m ~b ~state:from ~diag:work.diag ~tend:work.tend);
     e.instrument Enforce_boundary_edge (fun () ->
-        Operators.enforce_boundary_edge ?pool:e.pool m ~tend_u:work.tend.tend_u);
+        Operators.enforce_boundary_edge m ~tend_u:work.tend.tend_u);
     e.instrument Compute_next_substep_state (fun () ->
-        Operators.blend ?pool:e.pool m ~a ~base:state ~b:bcoef ~other:from ~c
+        Operators.blend m ~a ~base:state ~b:bcoef ~other:from ~c
           ~tend:work.tend ~out);
     e.instrument Compute_solve_diagnostics (fun () ->
         compute_solve_diagnostics e cfg m ~dt ~state:out ~diag:work.diag)
@@ -266,7 +248,7 @@ let ssprk3_step e cfg m ~b ?recon ~dt ~(state : Fields.state) ~work () =
   | None -> ()
   | Some r ->
       e.instrument Mpas_reconstruct (fun () ->
-          Reconstruct.run ?pool:e.pool r m ~u:state.Fields.u ~out:work.recon)
+          Reconstruct.run r m ~u:state.Fields.u ~out:work.recon)
 
 (* Dispatch: a custom step (the dataflow task runtime) takes the whole
    step over; otherwise select the configured integrator. *)

@@ -6,15 +6,16 @@
       run in their scatter (edge/vertex-order) form, sequentially;
     - [refactored]: all loops in regularity-aware gather form
       (Algorithm 3), sequential;
-    - [parallel pool]: the gather form with every pattern loop run on
-      the domain pool — the "OpenMP" execution of the hybrid design;
     - [fused]: the gather form with the kernels packed into the fused
       super-kernel chains of {!Fused} (the paper's loop fusion),
       sequential.  The default engine of [Model]; [refactored] is its
-      unfused oracle. *)
+      unfused oracle.
+
+    Parallel execution plugs in through [custom]: the task runtime
+    ([Mpas_runtime.Engine]) runs the fused program over a domain
+    pool. *)
 
 open Mpas_mesh
-open Mpas_par
 
 type kernel =
   | Compute_tend
@@ -40,7 +41,6 @@ type workspace = {
 
 type engine = {
   gather : bool;  (** false = original scatter loops *)
-  pool : Pool.t option;
   instrument : kernel -> (unit -> unit) -> unit;
       (** wraps every kernel invocation; default just runs it.  A
           custom step may invoke it concurrently from several domains,
@@ -69,7 +69,6 @@ and custom =
 
 val original : engine
 val refactored : engine
-val parallel : Pool.t -> engine
 
 (** True when the configuration lies inside the fused chain set: RK-4,
     no tracers, no biharmonic diffusion ([visc4 = 0]).  Both fused
@@ -99,7 +98,7 @@ val with_custom : engine -> custom -> engine
     invocation is timed into a [swe.kernel.<name>] histogram timer in
     [registry] (default: the process-wide registry) and wrapped in a
     trace span (category ["kernel"], arguments recording the
-    connectivity layout and pool width) when a trace sink is set.
+    connectivity layout) when a trace sink is set.
     [e]'s own instrument hook keeps running inside the measurement, so
     observation composes with existing hooks instead of replacing
     them.  With the no-op sink the added cost per kernel call is one

@@ -307,7 +307,7 @@ let replay_clean (n_domains, (pname, split)) =
   let log : Exec.log = ref [] in
   Pool.with_pool ~n_domains (fun pool ->
       let eng =
-        Engine.create ~mode:Exec.Async ~pool ?plan ~split ~log ()
+        Engine.create ~mode:Exec.Steal ~pool ?plan ~split ~log ()
       in
       let model =
         Model.init ~engine:(Engine.timestep_engine eng) Williamson.Tc5 m
@@ -716,7 +716,6 @@ let test_explore_models_clean () =
     [
       Explore.Models.chase_lev ();
       Explore.Models.steal_wakeup ();
-      Explore.Models.async_exec ();
     ]
 
 let test_explore_seeded_bugs_caught () =
@@ -734,7 +733,6 @@ let test_explore_seeded_bugs_caught () =
         (oc.Explore.oc_trace <> []))
     [
       Explore.Models.chase_lev ~bug:Explore.Models.Drop_last_cas ();
-      Explore.Models.async_exec ~bug:Explore.Models.Drop_enable_signal ();
       Explore.Models.steal_wakeup ~bug:Explore.Models.Drop_version_check ();
       Explore.Models.steal_wakeup ~bug:Explore.Models.Drop_spread_broadcast ();
       Explore.Models.steal_wakeup ~bug:Explore.Models.Drop_retire_broadcast ();

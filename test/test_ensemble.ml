@@ -131,8 +131,6 @@ let test_modes_bit_identical () =
       check_bits (name ^ " u") want.Fields.u got.Fields.u)
     [
       ("sequential", Exec.Sequential, 0);
-      ("barrier", Exec.Barrier, 2);
-      ("async", Exec.Async, 4);
       ("steal", Exec.Steal, 4);
     ]
 

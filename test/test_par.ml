@@ -44,24 +44,6 @@ let test_parallel_for_chunks () =
         "chunks tile the range" true
         (Array.for_all (fun x -> x = 1) a))
 
-let test_parallel_sum_deterministic () =
-  Pool.with_pool ~n_domains:4 (fun p ->
-      let f i = sin (float_of_int i) /. 7.3 in
-      let s1 = Pool.parallel_sum p ~lo:0 ~hi:100_000 f in
-      let s2 = Pool.parallel_sum p ~lo:0 ~hi:100_000 f in
-      (* Determinism must be exact, not approximate. *)
-      Alcotest.(check bool) "bitwise equal" true (Float.equal s1 s2))
-
-let test_parallel_sum_matches_sequential () =
-  let f i = float_of_int (i * i) in
-  let seq = ref 0. in
-  for i = 0 to 999 do
-    seq := !seq +. f i
-  done;
-  Pool.with_pool ~n_domains:4 (fun p ->
-      let par = Pool.parallel_sum p ~lo:0 ~hi:1000 f in
-      Alcotest.(check (float 1e-6)) "same sum" !seq par)
-
 let test_reuse_many_times () =
   (* Exercises the generation protocol: many small loops in a row. *)
   Pool.with_pool ~n_domains:4 (fun p ->
@@ -85,14 +67,6 @@ let test_with_pool_shuts_down_on_exn () =
     (match Pool.with_pool ~n_domains:3 (fun _ -> failwith "boom") with
     | _ -> false
     | exception Failure _ -> true)
-
-let prop_sum_equals_closed_form =
-  QCheck.Test.make ~name:"parallel_sum of identity" ~count:20
-    QCheck.(pair (int_range 1 4) (int_range 0 5000))
-    (fun (domains, n) ->
-      Pool.with_pool ~n_domains:domains (fun p ->
-          let s = Pool.parallel_sum p ~lo:0 ~hi:n float_of_int in
-          Float.abs (s -. (float_of_int (n * (n - 1)) /. 2.)) < 1e-6))
 
 (* --- work-stealing deque ------------------------------------------------ *)
 
@@ -187,10 +161,6 @@ let () =
             test_parallel_for_partial_range;
           Alcotest.test_case "empty range" `Quick test_parallel_for_empty_range;
           Alcotest.test_case "chunks" `Quick test_parallel_for_chunks;
-          Alcotest.test_case "sum deterministic" `Quick
-            test_parallel_sum_deterministic;
-          Alcotest.test_case "sum correct" `Quick
-            test_parallel_sum_matches_sequential;
           Alcotest.test_case "reuse" `Quick test_reuse_many_times;
           Alcotest.test_case "bad size" `Quick test_create_rejects_zero;
           Alcotest.test_case "exn safety" `Quick
@@ -205,5 +175,5 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_sum_equals_closed_form; prop_disjoint_writes_race_free ] );
+          [ prop_disjoint_writes_race_free ] );
     ]

@@ -207,22 +207,22 @@ let mk_hex engine =
   Model.of_state ~engine ~dt:5. ~b:(Array.make m.Mesh.n_cells 0.) m
     (hex_state m)
 
-let test_ico_async_matches () =
-  check_matches_sequential ~name:"ico async" ~mk_model:mk_ico ~mode:Exec.Async
+let test_ico_steal_matches () =
+  check_matches_sequential ~name:"ico steal" ~mk_model:mk_ico ~mode:Exec.Steal
     ~domains:4 ~steps:10 ()
 
 let test_ico_split_matches () =
   check_matches_sequential ~name:"ico pattern-driven split" ~mk_model:mk_ico
-    ~mode:Exec.Async ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.4
+    ~mode:Exec.Steal ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.4
     ~host_lanes:2 ~domains:4 ~steps:10 ()
 
-let test_hex_barrier_matches () =
-  check_matches_sequential ~name:"hex barrier" ~mk_model:mk_hex
-    ~mode:Exec.Barrier ~domains:2 ~steps:10 ()
+let test_hex_steal_matches () =
+  check_matches_sequential ~name:"hex steal" ~mk_model:mk_hex
+    ~mode:Exec.Steal ~domains:2 ~steps:10 ()
 
 let test_hex_split_matches () =
   check_matches_sequential ~name:"hex pattern-driven split" ~mk_model:mk_hex
-    ~mode:Exec.Async ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.3
+    ~mode:Exec.Steal ~plan:Mpas_hybrid.Plan.pattern_driven ~split:0.3
     ~domains:2 ~steps:10 ()
 
 let test_sequential_mode_matches () =
@@ -272,8 +272,8 @@ let test_determinism_across_pool_sizes () =
   List.iter
     (fun domains ->
       check_matches_sequential
-        ~name:(Printf.sprintf "async %d domains" domains)
-        ~mk_model:mk_ico ~mode:Exec.Async ~domains ~steps:5 ())
+        ~name:(Printf.sprintf "steal %d domains" domains)
+        ~mk_model:mk_ico ~mode:Exec.Steal ~domains ~steps:5 ())
     [ 1; 2; 4 ]
 
 let test_split_sweep_matches () =
@@ -283,7 +283,7 @@ let test_split_sweep_matches () =
     (fun split ->
       check_matches_sequential
         ~name:(Printf.sprintf "split %g" split)
-        ~mk_model:mk_hex ~mode:Exec.Async
+        ~mk_model:mk_hex ~mode:Exec.Steal
         ~plan:Mpas_hybrid.Plan.pattern_driven ~split ~domains:2 ~steps:3 ())
     [ 0.; 0.2; 0.5; 0.8; 1. ]
 
@@ -302,11 +302,11 @@ let final_ids =
       if i.Pattern.id = "X3" then None else Some i.Pattern.id)
     Registry.instances
 
-let schedule_sound (domains, mode) =
+let schedule_sound domains =
   let log : Exec.log = ref [] in
   let spec = Spec.build ~recon:true () in
   with_optional_pool domains (fun pool ->
-      let eng = Engine.create ~mode ?pool ~log () in
+      let eng = Engine.create ~mode:Exec.Steal ?pool ~log () in
       let model = mk_hex (Engine.timestep_engine eng) in
       Model.run model ~steps:1);
   let entries = !log in
@@ -344,10 +344,7 @@ let schedule_sound (domains, mode) =
 
 let prop_schedule_sound =
   QCheck.Test.make ~name:"exactly-once + happens-before" ~count:12
-    QCheck.(
-      pair
-        (oneofl [ 1; 2; 4 ])
-        (oneofl [ Exec.Barrier; Exec.Async; Exec.Steal ]))
+    QCheck.(oneofl [ 1; 2; 4 ])
     schedule_sound
 
 (* The same soundness over the overlapped distributed programs, whose
@@ -356,13 +353,15 @@ let prop_schedule_sound =
    before its predecessors finish, and comm tasks really execute. *)
 let ico_dist = lazy (Build.icosahedral ~level:2 ~lloyd_iters:2 ())
 
-let overlap_schedule_sound (domains, mode, depth) =
+let overlap_schedule_sound (domains, depth) =
   let m = Lazy.force ico_dist in
   let log : Exec.log = ref [] in
   let d = Mpas_dist.Driver.init ~n_ranks:3 Williamson.Tc5 m in
   let spec =
     with_optional_pool domains (fun pool ->
-        let ov = Mpas_dist.Overlap.of_driver ~mode ?pool ~log ~depth d in
+        let ov =
+          Mpas_dist.Overlap.of_driver ~mode:Exec.Steal ?pool ~log ~depth d
+        in
         Mpas_dist.Overlap.run ov ~steps:1;
         Mpas_dist.Overlap.spec ov)
   in
@@ -412,11 +411,7 @@ let overlap_schedule_sound (domains, mode, depth) =
 let prop_overlap_schedule_sound =
   QCheck.Test.make
     ~name:"overlapped comm programs: exactly-once + happens-before" ~count:8
-    QCheck.(
-      triple
-        (oneofl [ 1; 2; 4 ])
-        (oneofl [ Exec.Barrier; Exec.Async; Exec.Steal ])
-        (oneofl [ 1; 2 ]))
+    QCheck.(pair (oneofl [ 1; 2; 4 ]) (oneofl [ 1; 2 ]))
     overlap_schedule_sound
 
 (* --- engine envelope ---------------------------------------------------- *)
@@ -638,9 +633,9 @@ let () =
         ] );
       ( "bit-identity",
         [
-          Alcotest.test_case "ico async" `Quick test_ico_async_matches;
+          Alcotest.test_case "ico steal" `Quick test_ico_steal_matches;
           Alcotest.test_case "ico split" `Quick test_ico_split_matches;
-          Alcotest.test_case "hex barrier" `Quick test_hex_barrier_matches;
+          Alcotest.test_case "hex steal" `Quick test_hex_steal_matches;
           Alcotest.test_case "hex split" `Quick test_hex_split_matches;
           Alcotest.test_case "sequential mode" `Quick
             test_sequential_mode_matches;

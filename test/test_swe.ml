@@ -98,20 +98,6 @@ let test_equiv_tend_h () =
       Operators.tend_h m ~h_edge ~u ~out;
       out)
 
-let test_parallel_matches_serial_gather () =
-  let m = Lazy.force ico in
-  let u = random_u m 7L in
-  let serial = Array.make m.n_cells 0. in
-  Operators.divergence m ~u ~out:serial;
-  Mpas_par.Pool.with_pool ~n_domains:4 (fun pool ->
-      let par = Array.make m.n_cells 0. in
-      Operators.divergence ~pool m ~u ~out:par;
-      (* Gather loops write disjoint outputs: results are bitwise equal. *)
-      Alcotest.(check bool)
-        "bitwise equal" true
-        (Array.for_all Fun.id
-           (Array.init m.n_cells (fun c -> Float.equal serial.(c) par.(c)))))
-
 (* --- exact answers on the regular hex mesh ------------------------------- *)
 
 let test_hex_divergence_uniform_flow () =
@@ -346,11 +332,19 @@ let test_parallel_engine_agrees () =
   let m1 = Model.init Williamson.Tc5 m in
   let m2 = Model.init Williamson.Tc5 m in
   Model.run m1 ~steps:3;
-  Model.with_parallel_engine m2 ~n_domains:3 (fun m2 -> Model.run m2 ~steps:3);
-  (* Refactored loops are deterministic: parallel must equal serial
+  (* The parallel engine of mpas_swe_run and Figure 5: the fused task
+     program on work-stealing lanes. *)
+  Mpas_par.Pool.with_pool ~n_domains:3 (fun pool ->
+      Model.set_engine m2
+        Mpas_runtime.(
+          Engine.timestep_engine
+            (Engine.create ~mode:Exec.Steal ~fuse:true ~tiling:`Auto
+               ~pool ()));
+      Model.run m2 ~steps:3);
+  (* Tasks write disjoint outputs: parallel must equal serial
      bitwise. *)
   Alcotest.(check bool)
-    "parallel = serial gather, bitwise" true
+    "parallel = serial, bitwise" true
     (Array.for_all Fun.id
        (Array.init m.n_cells (fun c ->
             Float.equal m1.state.h.(c) m2.state.h.(c))))
@@ -963,7 +957,7 @@ let test_state_io_file_roundtrip_both_families () =
    floating-point expressions in the same order, so even -0.0 and ulp
    differences are forbidden. *)
 
-type runner = ?pool:Mpas_par.Pool.t -> ?on:int array -> float array -> unit
+type runner = ?on:int array -> float array -> unit
 
 let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
   let u = random_u m seed in
@@ -987,70 +981,70 @@ let csr_kernel_pairs (m : Mesh.t) seed : (string * int * runner * runner) list =
   Operators.tracer_edge m ~scheme:Config.Centered ~tracer ~u ~out:tr_edge;
   [
     ( "A2 kinetic_energy", m.n_cells,
-      (fun ?pool ?on out -> Operators.kinetic_energy ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.kinetic_energy ?pool ?on m ~u ~out
+      (fun ?on out -> Operators.kinetic_energy ?on m ~u ~out),
+      fun ?on out -> Operators.Ragged.kinetic_energy ?on m ~u ~out
     );
     ( "A3 divergence", m.n_cells,
-      (fun ?pool ?on out -> Operators.divergence ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.divergence ?pool ?on m ~u ~out );
+      (fun ?on out -> Operators.divergence ?on m ~u ~out),
+      fun ?on out -> Operators.Ragged.divergence ?on m ~u ~out );
     ( "D1 vorticity", m.n_vertices,
-      (fun ?pool ?on out -> Operators.vorticity ?pool ?on m ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.vorticity ?pool ?on m ~u ~out );
+      (fun ?on out -> Operators.vorticity ?on m ~u ~out),
+      fun ?on out -> Operators.Ragged.vorticity ?on m ~u ~out );
     ( "C2 h_vertex", m.n_vertices,
-      (fun ?pool ?on out -> Operators.h_vertex ?pool ?on m ~h ~out),
-      fun ?pool ?on out -> Operators.Ragged.h_vertex ?pool ?on m ~h ~out );
+      (fun ?on out -> Operators.h_vertex ?on m ~h ~out),
+      fun ?on out -> Operators.Ragged.h_vertex ?on m ~h ~out );
     ( "E pv_cell", m.n_cells,
-      (fun ?pool ?on out -> Operators.pv_cell ?pool ?on m ~pv_vertex ~out),
-      fun ?pool ?on out -> Operators.Ragged.pv_cell ?pool ?on m ~pv_vertex ~out
+      (fun ?on out -> Operators.pv_cell ?on m ~pv_vertex ~out),
+      fun ?on out -> Operators.Ragged.pv_cell ?on m ~pv_vertex ~out
     );
     ( "G tangential_velocity", m.n_edges,
-      (fun ?pool ?on out -> Operators.tangential_velocity ?pool ?on m ~u ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tangential_velocity ?pool ?on m ~u ~out );
+      (fun ?on out -> Operators.tangential_velocity ?on m ~u ~out),
+      fun ?on out ->
+        Operators.Ragged.tangential_velocity ?on m ~u ~out );
     ( "A1 tend_h", m.n_cells,
-      (fun ?pool ?on out -> Operators.tend_h ?pool ?on m ~h_edge ~u ~out),
-      fun ?pool ?on out -> Operators.Ragged.tend_h ?pool ?on m ~h_edge ~u ~out
+      (fun ?on out -> Operators.tend_h ?on m ~h_edge ~u ~out),
+      fun ?on out -> Operators.Ragged.tend_h ?on m ~h_edge ~u ~out
     );
     ( "B1 tend_u symmetric", m.n_edges,
-      (fun ?pool ?on out ->
-        Operators.tend_u ?pool ?on m ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge
+      (fun ?on out ->
+        Operators.tend_u ?on m ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge
           ~u ~pv_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_u ?pool ?on m ~gravity:9.80616 ~h ~b:btopo ~ke
+      fun ?on out ->
+        Operators.Ragged.tend_u ?on m ~gravity:9.80616 ~h ~b:btopo ~ke
           ~h_edge ~u ~pv_edge ~out );
     ( "B1 tend_u edge-only", m.n_edges,
-      (fun ?pool ?on out ->
-        Operators.tend_u ?pool ?on ~pv_average:Config.Edge_only m
+      (fun ?on out ->
+        Operators.tend_u ?on ~pv_average:Config.Edge_only m
           ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge ~u ~pv_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_u ?pool ?on ~pv_average:Config.Edge_only m
+      fun ?on out ->
+        Operators.Ragged.tend_u ?on ~pv_average:Config.Edge_only m
           ~gravity:9.80616 ~h ~b:btopo ~ke ~h_edge ~u ~pv_edge ~out );
     ( "tracer_edge centered", m.n_edges,
-      (fun ?pool ?on out ->
-        Operators.tracer_edge ?pool ?on m ~scheme:Config.Centered ~tracer ~u
+      (fun ?on out ->
+        Operators.tracer_edge ?on m ~scheme:Config.Centered ~tracer ~u
           ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tracer_edge ?pool ?on m ~scheme:Config.Centered
+      fun ?on out ->
+        Operators.Ragged.tracer_edge ?on m ~scheme:Config.Centered
           ~tracer ~u ~out );
     ( "tracer_edge upwind", m.n_edges,
-      (fun ?pool ?on out ->
-        Operators.tracer_edge ?pool ?on m ~scheme:Config.Upwind ~tracer ~u
+      (fun ?on out ->
+        Operators.tracer_edge ?on m ~scheme:Config.Upwind ~tracer ~u
           ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tracer_edge ?pool ?on m ~scheme:Config.Upwind ~tracer
+      fun ?on out ->
+        Operators.Ragged.tracer_edge ?on m ~scheme:Config.Upwind ~tracer
           ~u ~out );
     ( "tend_tracer", m.n_cells,
-      (fun ?pool ?on out ->
-        Operators.tend_tracer ?pool ?on m ~h_edge ~u ~tracer_edge:tr_edge ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.tend_tracer ?pool ?on m ~h_edge ~u
+      (fun ?on out ->
+        Operators.tend_tracer ?on m ~h_edge ~u ~tracer_edge:tr_edge ~out),
+      fun ?on out ->
+        Operators.Ragged.tend_tracer ?on m ~h_edge ~u
           ~tracer_edge:tr_edge ~out );
     ( "velocity_laplacian", m.n_edges,
-      (fun ?pool ?on out ->
-        Operators.velocity_laplacian ?pool ?on m ~divergence:div
+      (fun ?on out ->
+        Operators.velocity_laplacian ?on m ~divergence:div
           ~vorticity:vort ~out),
-      fun ?pool ?on out ->
-        Operators.Ragged.velocity_laplacian ?pool ?on m ~divergence:div
+      fun ?on out ->
+        Operators.Ragged.velocity_laplacian ?on m ~divergence:div
           ~vorticity:vort ~out );
   ]
 
@@ -1062,7 +1056,7 @@ let bitwise_equal a b =
 (* [subset] exercises the [?on] dispatch: outputs start as NaN so the
    comparison also proves both forms write exactly the listed indices
    (Float.equal nan nan holds). *)
-let check_csr_pairs ?pool ~subset label m seed =
+let check_csr_pairs ~subset label m seed =
   List.iter
     (fun (name, n, (csr_run : runner), (ragged_run : runner)) ->
       let on =
@@ -1070,8 +1064,8 @@ let check_csr_pairs ?pool ~subset label m seed =
         else None
       in
       let a = Array.make n nan and b = Array.make n nan in
-      csr_run ?pool ?on a;
-      ragged_run ?pool ?on b;
+      csr_run ?on a;
+      ragged_run ?on b;
       Alcotest.(check bool) (label ^ " " ^ name ^ " bitwise") true
         (bitwise_equal a b))
     (csr_kernel_pairs m seed)
@@ -1080,16 +1074,9 @@ let test_csr_bitwise_serial () =
   check_csr_pairs ~subset:false "ico" (Lazy.force ico) 50L;
   check_csr_pairs ~subset:false "hex" (Lazy.force hex) 51L
 
-let test_csr_bitwise_pool () =
-  Mpas_par.Pool.with_pool ~n_domains:3 (fun pool ->
-      check_csr_pairs ~pool ~subset:false "ico" (Lazy.force ico) 52L;
-      check_csr_pairs ~pool ~subset:false "hex" (Lazy.force hex) 53L)
-
 let test_csr_bitwise_subset () =
   check_csr_pairs ~subset:true "ico" (Lazy.force ico) 54L;
-  check_csr_pairs ~subset:true "hex" (Lazy.force hex) 55L;
-  Mpas_par.Pool.with_pool ~n_domains:2 (fun pool ->
-      check_csr_pairs ~pool ~subset:true "ico" (Lazy.force ico) 56L)
+  check_csr_pairs ~subset:true "hex" (Lazy.force hex) 55L
 
 (* --- properties -------------------------------------------------------------- *)
 
@@ -1171,13 +1158,10 @@ let () =
           Alcotest.test_case "d2fdx2" `Quick test_equiv_d2fdx2;
           Alcotest.test_case "pv_cell" `Quick test_equiv_pv_cell;
           Alcotest.test_case "tend_h" `Quick test_equiv_tend_h;
-          Alcotest.test_case "parallel bitwise" `Quick
-            test_parallel_matches_serial_gather;
         ] );
       ( "csr layout",
         [
           Alcotest.test_case "serial bitwise" `Quick test_csr_bitwise_serial;
-          Alcotest.test_case "pool bitwise" `Quick test_csr_bitwise_pool;
           Alcotest.test_case "on-subset bitwise" `Quick
             test_csr_bitwise_subset;
         ] );
