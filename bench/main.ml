@@ -269,17 +269,14 @@ let bench_cases () =
     ]
   in
   let ensemble =
-    (* Member-batching amortization: one sequential batch step at 1, 8
-       and 64 members of the same Williamson case.  Sequential mode so
-       the row measures the layout effect alone (connectivity loaded
-       once per entity, applied to every member), not lane parallelism;
-       divide each row by its member count for per-member ms/step. *)
+    (* One batch step at 1, 8 and 64 members of the same Williamson
+       case, no pool: each member takes a solo fused RK-4 step in turn,
+       so a row divided by its member count should match the solo fused
+       step; any excess is batch bookkeeping (quarantine scan,
+       metrics). *)
     let engine_of members =
       let open Mpas_ensemble in
-      let e =
-        Ensemble.create ~capacity:members ~block:(min members 8)
-          ~mode:Mpas_runtime.Exec.Sequential m
-      in
+      let e = Ensemble.create ~capacity:members m in
       for _ = 1 to members do
         ignore (Ensemble.submit_case e Williamson.Tc5)
       done;
@@ -306,7 +303,7 @@ let bench_cases () =
           let srv =
             Mpas_server.Server.create
               ~registry:(Mpas_obs.Metrics.create ())
-              ~capacity:4 ~block:2 ~checkpoint_every:1 m
+              ~capacity:4 ~checkpoint_every:1 m
           in
           for _ = 1 to 8 do
             ignore (Mpas_server.Server.submit srv ~steps:2 Williamson.Tc5)

@@ -290,108 +290,6 @@ let dist_replay_section mesh_name mesh =
     sec_failures = List.map A.Races.issue_message !issues;
   }
 
-(* Ensemble member-axis programs: structural well-formedness of the
-   compiled block-chain phases, race freedom under the engine's
-   declared block-qualified slot accesses, and a self-test that
-   severing a chain edge between two conflicting tasks of one block is
-   actually caught. *)
-let ens_static_section mesh_name mesh =
-  let e = Mpas_ensemble.Ensemble.create ~capacity:8 ~block:2 mesh in
-  let spec = Mpas_ensemble.Ensemble.spec e in
-  let structural = Mpas_runtime.Spec.check spec in
-  let race_failures =
-    List.concat_map
-      (fun (pr : A.Races.phase_races) ->
-        List.map
-          (fun r ->
-            Printf.sprintf "%s phase: %s"
-              (match pr.A.Races.pr_phase with
-              | `Early -> "early"
-              | `Final -> "final")
-              (A.Races.race_message r))
-          pr.A.Races.pr_races)
-      (A.Ens.check_spec e)
-  in
-  (* self-test: drop each block-0 chain edge; at least one severed
-     pair must surface as a race, or a clean verdict proves nothing *)
-  let phase = spec.Mpas_runtime.Spec.early in
-  let footprints = A.Ens.footprints e `Early in
-  let nk = phase.Mpas_runtime.Spec.n_levels in
-  let chain_edges =
-    List.filter (fun (src, dst) -> src < nk && dst < nk) (A.Races.edges phase)
-  in
-  let caught =
-    List.length
-      (List.filter
-         (fun (src, dst) ->
-           List.exists
-             (fun (r : A.Races.race) -> r.A.Races.ra = src && r.A.Races.rb = dst)
-             (A.Races.check_phase ~footprints
-                (A.Races.drop_edge phase ~src ~dst)))
-         chain_edges)
-  in
-  let selftest_failures =
-    if chain_edges = [] then [ "no block-chain edges to self-test" ]
-    else if caught = 0 then
-      [
-        Printf.sprintf
-          "self-test: %d seeded chain-edge drops, none reported as a race"
-          (List.length chain_edges);
-      ]
-    else []
-  in
-  let n_pairs phase =
-    let n = Array.length phase.Mpas_runtime.Spec.tasks in
-    n * (n - 1) / 2
-  in
-  {
-    sec_name = "ensemble-static";
-    sec_mesh = mesh_name;
-    sec_checks =
-      n_pairs spec.Mpas_runtime.Spec.early
-      + n_pairs spec.Mpas_runtime.Spec.final
-      + List.length chain_edges;
-    sec_failures = structural @ race_failures @ selftest_failures;
-  }
-
-(* Live replay of a stolen ensemble batch (three perturbed Williamson
-   members): every block task exactly once per substep, chain edges
-   respected, no conflicting overlap between member blocks. *)
-let ens_replay_section mesh_name mesh =
-  let steps = 2 in
-  let log : Mpas_runtime.Exec.log = ref [] in
-  let entries = ref 0 and issues = ref [] in
-  Mpas_par.Pool.with_pool ~n_domains:4 (fun pool ->
-      let e =
-        Mpas_ensemble.Ensemble.create ~capacity:8 ~block:2
-          ~mode:Mpas_runtime.Exec.Steal ~pool ~log mesh
-      in
-      List.iter
-        (fun (case, config) ->
-          ignore (Mpas_ensemble.Ensemble.submit_case e ~config case))
-        [
-          (Mpas_swe.Williamson.Tc5, Mpas_swe.Config.default);
-          ( Mpas_swe.Williamson.Tc2,
-            { Mpas_swe.Config.default with h_adv_order = Mpas_swe.Config.Second }
-          );
-          ( Mpas_swe.Williamson.Tc6,
-            { Mpas_swe.Config.default with visc2 = 1e3 } );
-        ];
-      for _ = 1 to steps do
-        Mpas_ensemble.Ensemble.step e ();
-        entries := !entries + List.length !log;
-        issues := !issues @ A.Ens.check_log e !log;
-        log := []
-      done);
-  {
-    sec_name =
-      Printf.sprintf "ensemble-replay:steal(%d steps, %d entries)" steps
-        !entries;
-    sec_mesh = mesh_name;
-    sec_checks = !entries;
-    sec_failures = List.map A.Races.issue_message !issues;
-  }
-
 (* Serving-layer recovery lint: drive the server under several seeded
    fault schedules.  Every job must either complete bit-identically to
    its fault-free solo reference or be reported [Failed] with a reason
@@ -445,7 +343,7 @@ let server_recovery_section mesh_name mesh =
       let registry = Metrics.create () in
       let fault = F.plan ~ticks:10 ~events:4 ~seed () in
       let srv =
-        S.create ~registry ~capacity:2 ~block:1 ~queue_limit:8
+        S.create ~registry ~capacity:2 ~queue_limit:8
           ~checkpoint_every:2 ~max_retries:4 ~fault mesh
       in
       let ids =
@@ -762,7 +660,6 @@ let section_catalog ~src_root () =
       ("bounds-audit", fun () -> bounds_section name (Lazy.force mesh));
       ( "bounds-coverage",
         fun () -> bounds_coverage_section ~src_root name (Lazy.force mesh) );
-      ("ensemble-static", fun () -> ens_static_section name (Lazy.force mesh));
       ( "live-tsan",
         fun () -> live_tsan_section name (Lazy.force mesh) (Lazy.force probe) );
     ]
@@ -783,7 +680,6 @@ let section_catalog ~src_root () =
         ("dist-overlap-static", fun () -> dist_static_section name (Lazy.force mesh));
         ("dist-overlap-bodies", fun () -> dist_bodies_section name (Lazy.force mesh));
         ("dist-overlap-replay", fun () -> dist_replay_section name (Lazy.force mesh));
-        ("ensemble-replay", fun () -> ens_replay_section name (Lazy.force mesh));
         ("server-recovery", fun () -> server_recovery_section name (Lazy.force mesh));
       ]
   in

@@ -1,6 +1,6 @@
 (* Smoke check for the ensemble batch-serving engine: submit a mixed
-   batch of perturbed Williamson configurations, advance it with the
-   work-stealing executor, query every member, and verify each member's
+   batch of perturbed Williamson configurations, advance it on a
+   4-domain pool, query every member, and verify each member's
    trajectory is bit-identical to a solo run of the refactored engine
    with the same configuration.  Also exercises the serving surface:
    a member with a step target must finish [Done], and a member poisoned
@@ -79,10 +79,7 @@ let () =
         model.Model.state
   in
   Mpas_par.Pool.with_pool ~n_domains:4 (fun pool ->
-      let e =
-        Ensemble.create ~capacity:(max 16 (members + 1)) ~block:2
-          ~mode:Mpas_runtime.Exec.Steal ~pool m
-      in
+      let e = Ensemble.create ~capacity:(max 16 (members + 1)) ~pool m in
       let ids =
         List.map
           (fun (name, case, config, t) ->

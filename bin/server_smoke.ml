@@ -53,7 +53,7 @@ let () =
   Printf.printf "server-smoke: seed %d -> fault plan [%s]\n%!" seed
     (F.to_string fault);
   let srv =
-    S.create ~registry ~capacity:3 ~block:1 ~queue_limit:8 ~tenant_quota:3
+    S.create ~registry ~capacity:3 ~queue_limit:8 ~tenant_quota:3
       ~checkpoint_every:2 ~max_retries:4 ~fault m
   in
   let ids =

@@ -12,16 +12,8 @@
     at kernel entry; those appear as explicit [Guarded_len]
     assumptions on the verdict rather than CSR invariants.
 
-    The member-batched ensemble kernels of [Mpas_swe.Strided] are
-    catalogued the same way (kernel names prefixed ["strided."]):
-    their panelled slab accesses
-    [(m / bw) * size * bw + inner * bw + (m mod bw)] lean on the
-    [check_slab] entry guard for the panel base ([Slab_guard]
-    assumption) while
-    the inner index discharges the usual CSR obligations, and the
-    per-member mask/parameter/flag reads are covered by the
-    [check_range]/[check_params]/[check_flags] guards
-    ([Member_guard]). *)
+    The fused super-kernels of [Mpas_swe.Fused] are catalogued the
+    same way (kernel names prefixed ["fused."]). *)
 
 open Mpas_mesh
 
@@ -39,9 +31,6 @@ type index =
   | Stride of int
   | Loaded of { table : string; space : space }
   | Loaded_stride of { table : string; space : space; width : int }
-  | Member  (** the member loop variable of a strided kernel *)
-  | Slab of index
-      (** panel base + inner index into a panelled (AoSoA) slab *)
 
 val index_name : index -> string
 
@@ -62,11 +51,9 @@ type invariant =
   | Offsets_shape_ok of { offsets : string; rows : space }
   | Flat_covered_ok of { data : string; offsets : string }
   | In_range_ok of { table : string; space : space }
-  | Strided_ok of { table : string; space : space; width : int }
+  | Width_ok of { table : string; space : space; width : int }
   | Sized_ok of { table : string; space : space }
   | Guarded_len of { field : string; space : space }
-  | Slab_guard of { slab : string; space : space }
-  | Member_guard of { array : string }
 
 val invariant_name : invariant -> string
 val is_assumption : invariant -> bool
@@ -116,16 +103,9 @@ type coverage = {
 val cv_dead : coverage -> bool
 val coverage_message : coverage -> string
 
-val coverage :
-  ?bw:int ->
-  ?mhi:int ->
-  ?csr:Mesh.csr ->
-  ?sites:site list ->
-  Mesh.t ->
-  coverage list
-(** [bw]/[mhi] (default 2/4) are nominal panel width and member count
-    for the strided shapes.  [sites] defaults to the full {!catalog};
-    tests pass doctored lists to watch the self-audit fire. *)
+val coverage : ?csr:Mesh.csr -> ?sites:site list -> Mesh.t -> coverage list
+(** [sites] defaults to the full {!catalog}; tests pass doctored lists
+    to watch the self-audit fire. *)
 
 (** {1 Self-audit: source scan}
 
@@ -147,7 +127,7 @@ val scan_site_name : scan_site -> string
 
 val scan_file : prefix:string -> string -> scan_site list
 (** All unsafe sites of one source file, kernel names prefixed with
-    [prefix] (["strided."], ["fused."], or [""]). *)
+    [prefix] (["fused."] or [""]). *)
 
 val default_sources : root:string -> (string * string) list
 (** The kernel sources the catalog covers, as (prefix, path) pairs

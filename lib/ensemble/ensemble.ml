@@ -1,10 +1,7 @@
 open Mpas_mesh
 open Mpas_swe
-open Mpas_runtime
 open Mpas_par
-module Pattern = Mpas_patterns.Pattern
 module Metrics = Mpas_obs.Metrics
-module A1 = Bigarray.Array1
 
 type status = Running | Done | Failed of string
 
@@ -21,59 +18,24 @@ type info = {
   i_target : int option;
 }
 
-type rw = Read | Write | Update
-
-type access = { a_slot : string; a_point : Pattern.point; a_rw : rw }
-
-(* Everything the kernel bodies close over.  Built before the phase
-   programs so the closures never see the engine record itself. *)
-type env = {
+(* A slot's float arrays, allocated once at [create] and reused by
+   every member the slot ever holds.  [mesh] is the engine mesh with
+   the slot's own [f_vertex] array, which [submit] overwrites with the
+   member's Coriolis field; everything else (connectivity, geometry,
+   the memoized CSR) is shared with the engine mesh. *)
+type buffers = {
+  state : Fields.state;
+  work : Timestep.workspace;
+  b : float array;
   mesh : Mesh.t;
-  nc : int;
-  ne : int;
-  nv : int;
-  cap : int;
-  blk : int;
-  (* masks and per-member physics, indexed by slot *)
-  on : bool array;  (** running members: stepped by every kernel *)
-  on4 : bool array;  (** running ∧ fourth-order: d2fdx2's mask *)
-  fourth : bool array;
-  symmetric : bool array;
-  dts : float array;
-  gravity : float array;
-  apvm : float array;
-  visc2 : float array;
-  drag : float array;
-  (* panelled (AoSoA) slabs, panel width [blk] -- see {!Strided} *)
-  sh : Strided.slab;  (** state h (cells) *)
-  su : Strided.slab;  (** state u (edges) *)
-  ph : Strided.slab;  (** provisional h *)
-  pu : Strided.slab;
-  ah : Strided.slab;  (** RK accumulator h *)
-  au : Strided.slab;
-  th : Strided.slab;  (** tend_h *)
-  tu : Strided.slab;
-  d2 : Strided.slab;
-  he : Strided.slab;
-  kes : Strided.slab;
-  dvg : Strided.slab;
-  vo : Strided.slab;
-  hv : Strided.slab;
-  pvv : Strided.slab;
-  pvc : Strided.slab;
-  vt : Strided.slab;
-  gn : Strided.slab;
-  gt : Strided.slab;
-  pe : Strided.slab;
-  bb : Strided.slab;  (** per-member bottom topography (cells) *)
-  fv : Strided.slab;  (** per-member Coriolis (vertices) *)
-  rk : int ref;  (** current substep, read by the bodies at call time *)
 }
 
-type slot = {
+type member = {
   s_id : int;
   s_tenant : string;
   s_target : int option;
+  s_config : Config.t;
+  s_dt : float;
   mutable s_status : status;
   mutable s_steps : int;
   c_stepped : Metrics.Counter.t;
@@ -81,28 +43,13 @@ type slot = {
   t_step : Metrics.Timer.t;
 }
 
-type kdef = {
-  kd_id : string;
-  kd_kernel : Pattern.kernel;
-  kd_body : block:int -> unit -> unit;
-  kd_acc : (string * Pattern.point * rw) list;
-}
-
 type t = {
-  env : env;
+  mesh : Mesh.t;
   registry : Metrics.t;
-  mode : Exec.mode;
   pool : Pool.t option;
-  log : Exec.log option;
-  interrupt : (phase:[ `Early | `Final ] -> substep:int -> unit) option;
-  preempt : (unit -> bool) option;
-  blocks : int;
-  early_defs : kdef array;
-  final_defs : kdef array;
-  sp : Spec.t;
-  early_bodies : (unit -> unit) array;
-  final_bodies : (unit -> unit) array;
-  slots : slot option array;
+  interrupt : (unit -> unit) option;
+  bufs : buffers array;
+  slots : member option array;
   by_id : (int, int) Hashtbl.t;  (** member id -> slot index *)
   mutable free : int list;
   mutable next_id : int;
@@ -111,393 +58,30 @@ type t = {
   t_batch_step : Metrics.Timer.t;
 }
 
-(* --- kernel chains ------------------------------------------------------ *)
-
-let block_range v ~block =
-  let mlo = block * v.blk in
-  let mhi = min v.cap ((block + 1) * v.blk) in
-  (mlo, mhi)
-
-(* The RK-4 substep chains, mirroring [Timestep.rk4_step] exactly.
-   Early (substeps 0-2): tendencies of the provisional state, boundary,
-   next provisional state, diagnostics of it, accumulate.  Final
-   (substep 3): tendencies, boundary, accumulate, publish the
-   accumulator into the state, diagnostics of the new state.  The
-   diagnostic sub-chain differs between the phases only in which h/u
-   slabs it reads. *)
-let tend_defs v =
-  let m = v.mesh and on = v.on in
-  [
-    {
-      kd_id = "ens.tend_h";
-      kd_kernel = Pattern.Compute_tend;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tend_h m ~bw:v.blk ~on ~mlo ~mhi ~h_edge:v.he ~u:v.pu ~out:v.th);
-      kd_acc =
-        [
-          ("h_edge", Pattern.Velocity, Read);
-          ("provis_u", Pattern.Velocity, Read);
-          ("tend_h", Pattern.Mass, Write);
-        ];
-    };
-    {
-      kd_id = "ens.tend_u";
-      kd_kernel = Pattern.Compute_tend;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tend_u m ~bw:v.blk ~on ~mlo ~mhi ~symmetric:v.symmetric
-            ~gravity:v.gravity ~h:v.ph ~b:v.bb ~ke:v.kes ~h_edge:v.he ~u:v.pu
-            ~pv_edge:v.pe ~out:v.tu);
-      kd_acc =
-        [
-          ("provis_h", Pattern.Mass, Read);
-          ("b", Pattern.Mass, Read);
-          ("ke", Pattern.Mass, Read);
-          ("h_edge", Pattern.Velocity, Read);
-          ("provis_u", Pattern.Velocity, Read);
-          ("pv_edge", Pattern.Velocity, Read);
-          ("tend_u", Pattern.Velocity, Write);
-        ];
-    };
-    {
-      kd_id = "ens.dissipation";
-      kd_kernel = Pattern.Compute_tend;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.dissipation m ~bw:v.blk ~on ~mlo ~mhi ~visc2:v.visc2 ~divergence:v.dvg
-            ~vorticity:v.vo ~tend_u:v.tu);
-      kd_acc =
-        [
-          ("divergence", Pattern.Mass, Read);
-          ("vorticity", Pattern.Vorticity, Read);
-          ("tend_u", Pattern.Velocity, Update);
-        ];
-    };
-    {
-      kd_id = "ens.local_forcing";
-      kd_kernel = Pattern.Compute_tend;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.local_forcing m ~bw:v.blk ~on ~mlo ~mhi ~drag:v.drag ~u:v.pu
-            ~tend_u:v.tu);
-      kd_acc =
-        [ ("provis_u", Pattern.Velocity, Read); ("tend_u", Pattern.Velocity, Update) ];
-    };
-    {
-      kd_id = "ens.boundary";
-      kd_kernel = Pattern.Enforce_boundary_edge;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.enforce_boundary_edge m ~bw:v.blk ~on ~mlo ~mhi ~tend_u:v.tu);
-      kd_acc = [ ("tend_u", Pattern.Velocity, Update) ];
-    };
-  ]
-
-(* Diagnostics of (h, u): provis slabs in the early phase, state slabs
-   in the final one. *)
-let diag_defs v ~h ~u ~h_name ~u_name =
-  let m = v.mesh and on = v.on in
-  [
-    {
-      kd_id = "ens.d2fdx2";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.d2fdx2 m ~bw:v.blk ~on:v.on4 ~mlo ~mhi ~h ~out:v.d2);
-      kd_acc = [ (h_name, Pattern.Mass, Read); ("d2fdx2", Pattern.Mass, Write) ];
-    };
-    {
-      kd_id = "ens.h_edge";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.h_edge m ~bw:v.blk ~on ~mlo ~mhi ~fourth:v.fourth ~h ~d2fdx2_cell:v.d2
-            ~out:v.he);
-      kd_acc =
-        [
-          (h_name, Pattern.Mass, Read);
-          ("d2fdx2", Pattern.Mass, Read);
-          ("h_edge", Pattern.Velocity, Write);
-        ];
-    };
-    {
-      kd_id = "ens.kinetic_energy";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.kinetic_energy m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.kes);
-      kd_acc = [ (u_name, Pattern.Velocity, Read); ("ke", Pattern.Mass, Write) ];
-    };
-    {
-      kd_id = "ens.divergence";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.divergence m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.dvg);
-      kd_acc =
-        [ (u_name, Pattern.Velocity, Read); ("divergence", Pattern.Mass, Write) ];
-    };
-    {
-      kd_id = "ens.vorticity";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.vorticity m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.vo);
-      kd_acc =
-        [ (u_name, Pattern.Velocity, Read); ("vorticity", Pattern.Vorticity, Write) ];
-    };
-    {
-      kd_id = "ens.h_vertex";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.h_vertex m ~bw:v.blk ~on ~mlo ~mhi ~h ~out:v.hv);
-      kd_acc =
-        [ (h_name, Pattern.Mass, Read); ("h_vertex", Pattern.Vorticity, Write) ];
-    };
-    {
-      kd_id = "ens.pv_vertex";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_vertex m ~bw:v.blk ~on ~mlo ~mhi ~f_vertex:v.fv ~vorticity:v.vo
-            ~h_vertex:v.hv ~out:v.pvv);
-      kd_acc =
-        [
-          ("f_vertex", Pattern.Vorticity, Read);
-          ("vorticity", Pattern.Vorticity, Read);
-          ("h_vertex", Pattern.Vorticity, Read);
-          ("pv_vertex", Pattern.Vorticity, Write);
-        ];
-    };
-    {
-      kd_id = "ens.pv_cell";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_cell m ~bw:v.blk ~on ~mlo ~mhi ~pv_vertex:v.pvv ~out:v.pvc);
-      kd_acc =
-        [ ("pv_vertex", Pattern.Vorticity, Read); ("pv_cell", Pattern.Mass, Write) ];
-    };
-    {
-      kd_id = "ens.tangential_velocity";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.tangential_velocity m ~bw:v.blk ~on ~mlo ~mhi ~u ~out:v.vt);
-      kd_acc =
-        [ (u_name, Pattern.Velocity, Read); ("v_tangential", Pattern.Velocity, Write) ];
-    };
-    {
-      kd_id = "ens.grad_pv";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.grad_pv m ~bw:v.blk ~on ~mlo ~mhi ~pv_cell:v.pvc ~pv_vertex:v.pvv
-            ~out_n:v.gn ~out_t:v.gt);
-      kd_acc =
-        [
-          ("pv_cell", Pattern.Mass, Read);
-          ("pv_vertex", Pattern.Vorticity, Read);
-          ("grad_pv_n", Pattern.Velocity, Write);
-          ("grad_pv_t", Pattern.Velocity, Write);
-        ];
-    };
-    {
-      kd_id = "ens.pv_edge";
-      kd_kernel = Pattern.Compute_solve_diagnostics;
-      kd_body =
-        (fun ~block () ->
-          let mlo, mhi = block_range v ~block in
-          Strided.pv_edge m ~bw:v.blk ~on ~mlo ~mhi ~apvm_factor:v.apvm ~dt:v.dts
-            ~pv_vertex:v.pvv ~grad_pv_n:v.gn ~grad_pv_t:v.gt ~u
-            ~v_tangential:v.vt ~out:v.pe);
-      kd_acc =
-        [
-          ("pv_vertex", Pattern.Vorticity, Read);
-          ("grad_pv_n", Pattern.Velocity, Read);
-          ("grad_pv_t", Pattern.Velocity, Read);
-          (u_name, Pattern.Velocity, Read);
-          ("v_tangential", Pattern.Velocity, Read);
-          ("pv_edge", Pattern.Velocity, Write);
-        ];
-    };
-  ]
-
-let accumulate_def v =
-  let m = v.mesh and on = v.on in
-  {
-    kd_id = "ens.accumulate";
-    kd_kernel = Pattern.Accumulative_update;
-    kd_body =
-      (fun ~block () ->
-        let mlo, mhi = block_range v ~block in
-        Strided.accumulate m ~bw:v.blk ~on ~mlo ~mhi ~rk:!(v.rk) ~dt:v.dts ~tend_h:v.th
-          ~tend_u:v.tu ~accum_h:v.ah ~accum_u:v.au);
-    kd_acc =
-      [
-        ("tend_h", Pattern.Mass, Read);
-        ("tend_u", Pattern.Velocity, Read);
-        ("accum_h", Pattern.Mass, Update);
-        ("accum_u", Pattern.Velocity, Update);
-      ];
-  }
-
-let early_kdefs v =
-  tend_defs v
-  @ [
-      {
-        kd_id = "ens.next_substep";
-        kd_kernel = Pattern.Compute_next_substep_state;
-        kd_body =
-          (fun ~block () ->
-            let mlo, mhi = block_range v ~block in
-            Strided.next_substep_state v.mesh ~bw:v.blk ~on:v.on ~mlo ~mhi ~rk:!(v.rk)
-              ~dt:v.dts ~base_h:v.sh ~base_u:v.su ~tend_h:v.th ~tend_u:v.tu
-              ~provis_h:v.ph ~provis_u:v.pu);
-        kd_acc =
-          [
-            ("state_h", Pattern.Mass, Read);
-            ("state_u", Pattern.Velocity, Read);
-            ("tend_h", Pattern.Mass, Read);
-            ("tend_u", Pattern.Velocity, Read);
-            ("provis_h", Pattern.Mass, Write);
-            ("provis_u", Pattern.Velocity, Write);
-          ];
-      };
-    ]
-  @ diag_defs v ~h:v.ph ~u:v.pu ~h_name:"provis_h" ~u_name:"provis_u"
-  @ [ accumulate_def v ]
-
-let final_kdefs v =
-  tend_defs v
-  @ [
-      accumulate_def v;
-      {
-        kd_id = "ens.publish";
-        kd_kernel = Pattern.Accumulative_update;
-        kd_body =
-          (fun ~block () ->
-            let mlo, mhi = block_range v ~block in
-            Strided.blit_state ~bw:v.blk ~on:v.on ~mlo ~mhi ~size:v.nc ~src:v.ah
-              ~dst:v.sh;
-            Strided.blit_state ~bw:v.blk ~on:v.on ~mlo ~mhi ~size:v.ne ~src:v.au
-              ~dst:v.su);
-        kd_acc =
-          [
-            ("accum_h", Pattern.Mass, Read);
-            ("accum_u", Pattern.Velocity, Read);
-            ("state_h", Pattern.Mass, Write);
-            ("state_u", Pattern.Velocity, Write);
-          ];
-      };
-    ]
-  @ diag_defs v ~h:v.sh ~u:v.su ~h_name:"state_h" ~u_name:"state_u"
-
 (* --- construction ------------------------------------------------------- *)
 
-let create ?(registry = Metrics.default) ?(capacity = 64) ?(block = 8)
-    ?(mode = Exec.Sequential) ?pool ?log ?interrupt ?preempt mesh =
+let create ?(registry = Metrics.default) ?(capacity = 64) ?pool ?interrupt
+    mesh =
   if capacity < 1 then
     invalid_arg
       (Printf.sprintf "Ensemble.create: capacity %d, need >= 1" capacity);
-  if block < 1 then
-    invalid_arg (Printf.sprintf "Ensemble.create: block %d, need >= 1" block);
-  (* The member block is the slab panel width; a panel wider than the
-     batch would only allocate dead lanes. *)
-  let block = min block capacity in
-  (* Validate the CSR once up front; every strided kernel leans on it. *)
+  (* Validate and memoize the CSR before the per-slot mesh copies, so
+     they all share it. *)
   ignore (Mesh.csr mesh);
-  let nc = mesh.Mesh.n_cells
-  and ne = mesh.Mesh.n_edges
-  and nv = mesh.Mesh.n_vertices in
-  let cells () = Strided.alloc ~bw:block ~members:capacity ~size:nc
-  and edges () = Strided.alloc ~bw:block ~members:capacity ~size:ne
-  and verts () = Strided.alloc ~bw:block ~members:capacity ~size:nv in
-  let env =
+  let buffers _ =
     {
-      mesh;
-      nc;
-      ne;
-      nv;
-      cap = capacity;
-      blk = block;
-      on = Array.make capacity false;
-      on4 = Array.make capacity false;
-      fourth = Array.make capacity false;
-      symmetric = Array.make capacity false;
-      dts = Array.make capacity 0.;
-      gravity = Array.make capacity 0.;
-      apvm = Array.make capacity 0.;
-      visc2 = Array.make capacity 0.;
-      drag = Array.make capacity 0.;
-      sh = cells ();
-      su = edges ();
-      ph = cells ();
-      pu = edges ();
-      ah = cells ();
-      au = edges ();
-      th = cells ();
-      tu = edges ();
-      d2 = cells ();
-      he = edges ();
-      kes = cells ();
-      dvg = cells ();
-      vo = verts ();
-      hv = verts ();
-      pvv = verts ();
-      pvc = cells ();
-      vt = edges ();
-      gn = edges ();
-      gt = edges ();
-      pe = edges ();
-      bb = cells ();
-      fv = verts ();
-      rk = ref 0;
+      state = Fields.alloc_state mesh;
+      work = Timestep.alloc_workspace mesh;
+      b = Array.make mesh.Mesh.n_cells 0.;
+      mesh = { mesh with Mesh.f_vertex = Array.copy mesh.Mesh.f_vertex };
     }
   in
-  let blocks = (capacity + block - 1) / block in
-  let to_batch kd =
-    { Batch.bk_id = kd.kd_id; bk_kernel = kd.kd_kernel; bk_body = kd.kd_body }
-  in
-  let early_defs = Array.of_list (early_kdefs env) in
-  let final_defs = Array.of_list (final_kdefs env) in
-  let early, early_bodies =
-    Batch.build ~kernels:(Array.to_list (Array.map to_batch early_defs)) ~blocks
-  in
-  let final, final_bodies =
-    Batch.build ~kernels:(Array.to_list (Array.map to_batch final_defs)) ~blocks
-  in
   {
-    env;
+    mesh;
     registry;
-    mode;
     pool;
-    log;
     interrupt;
-    preempt;
-    blocks;
-    early_defs;
-    final_defs;
-    sp = { Spec.early; final };
-    early_bodies;
-    final_bodies;
+    bufs = Array.init capacity buffers;
     slots = Array.make capacity None;
     by_id = Hashtbl.create 64;
     free = List.init capacity (fun i -> i);
@@ -507,10 +91,8 @@ let create ?(registry = Metrics.default) ?(capacity = 64) ?(block = 8)
     t_batch_step = Metrics.timer ~registry "ensemble.batch_step";
   }
 
-let capacity t = t.env.cap
-let block t = t.env.blk
-let mesh t = t.env.mesh
-let spec t = t.sp
+let capacity t = Array.length t.slots
+let mesh t = t.mesh
 
 let info_of s =
   {
@@ -531,7 +113,7 @@ let running_count t =
     (fun n -> function Some { s_status = Running; _ } -> n + 1 | _ -> n)
     0 t.slots
 
-let occupancy t = float_of_int (running_count t) /. float_of_int t.env.cap
+let occupancy t = float_of_int (running_count t) /. float_of_int (capacity t)
 
 let update_occupancy t =
   Metrics.Gauge.set t.g_occupancy (occupancy t)
@@ -557,46 +139,30 @@ let validate_config (cfg : Config.t) =
           expected 0)"
          cfg.visc4)
 
-(* Diagnostics of one member's state slabs, in [Timestep.
-   compute_solve_diagnostics] order — run at submit/reset so the first
-   tendency evaluation sees diagnostics matching the state, exactly as
-   [Model.of_state] initializes a solo run. *)
-let init_member_diagnostics t slot =
-  let v = t.env in
-  let only = Array.make v.cap false in
-  only.(slot) <- true;
-  let only4 = Array.make v.cap false in
-  only4.(slot) <- v.fourth.(slot);
-  let mlo = slot and mhi = slot + 1 in
-  let m = v.mesh in
-  Strided.d2fdx2 m ~bw:v.blk ~on:only4 ~mlo ~mhi ~h:v.sh ~out:v.d2;
-  Strided.h_edge m ~bw:v.blk ~on:only ~mlo ~mhi ~fourth:v.fourth ~h:v.sh
-    ~d2fdx2_cell:v.d2 ~out:v.he;
-  Strided.kinetic_energy m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.kes;
-  Strided.divergence m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.dvg;
-  Strided.vorticity m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.vo;
-  Strided.h_vertex m ~bw:v.blk ~on:only ~mlo ~mhi ~h:v.sh ~out:v.hv;
-  Strided.pv_vertex m ~bw:v.blk ~on:only ~mlo ~mhi ~f_vertex:v.fv ~vorticity:v.vo
-    ~h_vertex:v.hv ~out:v.pvv;
-  Strided.pv_cell m ~bw:v.blk ~on:only ~mlo ~mhi ~pv_vertex:v.pvv ~out:v.pvc;
-  Strided.tangential_velocity m ~bw:v.blk ~on:only ~mlo ~mhi ~u:v.su ~out:v.vt;
-  Strided.grad_pv m ~bw:v.blk ~on:only ~mlo ~mhi ~pv_cell:v.pvc ~pv_vertex:v.pvv
-    ~out_n:v.gn ~out_t:v.gt;
-  Strided.pv_edge m ~bw:v.blk ~on:only ~mlo ~mhi ~apvm_factor:v.apvm ~dt:v.dts
-    ~pv_vertex:v.pvv ~grad_pv_n:v.gn ~grad_pv_t:v.gt ~u:v.su
-    ~v_tangential:v.vt ~out:v.pe
+let check_state t (st : Fields.state) =
+  check_counted "state.h cells" (Array.length st.Fields.h) t.mesh.Mesh.n_cells;
+  check_counted "state.u edges" (Array.length st.Fields.u) t.mesh.Mesh.n_edges;
+  check_counted "tracer rows" (Array.length st.Fields.tracers) 0
+
+(* Copy [st] into the slot's state and recompute its diagnostics, so the
+   first tendency evaluation sees diagnostics matching the state,
+   exactly as [Model.of_state] initializes a solo run. *)
+let load t slot s (st : Fields.state) =
+  let buf = t.bufs.(slot) in
+  Array.blit st.Fields.h 0 buf.state.Fields.h 0 (Array.length st.Fields.h);
+  Array.blit st.Fields.u 0 buf.state.Fields.u 0 (Array.length st.Fields.u);
+  Timestep.init_diagnostics Timestep.fused s.s_config buf.mesh ~dt:s.s_dt
+    ~state:buf.state ~work:buf.work
 
 let submit t ?(tenant = "default") ?(config = Config.default) ?target
     ?f_vertex ~dt ~b (state : Fields.state) =
-  let v = t.env in
+  let m = t.mesh in
   validate_config config;
-  check_counted "state.h cells" (Array.length state.Fields.h) v.nc;
-  check_counted "state.u edges" (Array.length state.Fields.u) v.ne;
-  check_counted "tracer rows" (Array.length state.Fields.tracers) 0;
-  check_counted "b cells" (Array.length b) v.nc;
-  let fvert = Option.value f_vertex ~default:v.mesh.Mesh.f_vertex in
-  check_counted "f_vertex vertices" (Array.length fvert) v.nv;
-  if dt <= 0. then
+  check_state t state;
+  check_counted "b cells" (Array.length b) m.Mesh.n_cells;
+  let fvert = Option.value f_vertex ~default:m.Mesh.f_vertex in
+  check_counted "f_vertex vertices" (Array.length fvert) m.Mesh.n_vertices;
+  if not (Float.is_finite dt && dt > 0.) then
     invalid_arg (Printf.sprintf "Ensemble.submit: dt = %g, need > 0" dt);
   (match target with
   | Some n when n < 0 ->
@@ -606,35 +172,26 @@ let submit t ?(tenant = "default") ?(config = Config.default) ?target
     match t.free with
     | [] ->
         invalid_arg
-          (Printf.sprintf "Ensemble.submit: batch full (got %d members, \
-                           expected < %d)"
-             v.cap v.cap)
+          (Printf.sprintf
+             "Ensemble.submit: batch full (got %d members, expected < %d)"
+             (capacity t) (capacity t))
     | s :: rest ->
         t.free <- rest;
         s
   in
   let id = t.next_id in
   t.next_id <- id + 1;
-  Strided.fill_member v.sh ~bw:v.blk ~size:v.nc ~member:slot state.Fields.h;
-  Strided.fill_member v.su ~bw:v.blk ~size:v.ne ~member:slot state.Fields.u;
-  Strided.fill_member v.bb ~bw:v.blk ~size:v.nc ~member:slot b;
-  Strided.fill_member v.fv ~bw:v.blk ~size:v.nv ~member:slot fvert;
-  v.dts.(slot) <- dt;
-  v.gravity.(slot) <- config.gravity;
-  v.apvm.(slot) <- config.apvm_factor;
-  v.visc2.(slot) <- config.visc2;
-  v.drag.(slot) <- config.bottom_drag;
-  v.fourth.(slot) <- (config.h_adv_order = Config.Fourth);
-  v.symmetric.(slot) <- (config.pv_average = Config.Symmetric);
-  v.on.(slot) <- true;
-  v.on4.(slot) <- v.fourth.(slot);
-  init_member_diagnostics t slot;
+  let buf = t.bufs.(slot) in
+  Array.blit b 0 buf.b 0 (Array.length b);
+  Array.blit fvert 0 buf.mesh.Mesh.f_vertex 0 (Array.length fvert);
   let labels = [ ("tenant", tenant) ] in
   let s =
     {
       s_id = id;
       s_tenant = tenant;
       s_target = target;
+      s_config = config;
+      s_dt = dt;
       s_status = (if target = Some 0 then Done else Running);
       s_steps = 0;
       c_stepped =
@@ -644,17 +201,14 @@ let submit t ?(tenant = "default") ?(config = Config.default) ?target
       t_step = Metrics.timer ~registry:t.registry ~labels "ensemble.step";
     }
   in
-  if s.s_status <> Running then begin
-    v.on.(slot) <- false;
-    v.on4.(slot) <- false
-  end;
+  load t slot s state;
   t.slots.(slot) <- Some s;
   Hashtbl.replace t.by_id id slot;
   update_occupancy t;
   id
 
 let submit_case t ?tenant ?(config = Config.default) ?dt ?target case =
-  let m = t.env.mesh in
+  let m = t.mesh in
   let prepared = Williamson.prepare_mesh case m in
   let state, b = Williamson.init case prepared in
   let dt =
@@ -670,173 +224,113 @@ let slot_of t id =
   | Some s -> s
   | None -> raise Not_found
 
-(* Quarantine scan: non-finite h/u or non-positive thickness.  Members
-   only write their own lanes, so a blow-up stays contained; this scan
-   just records it so [step] can drop the member from the masks.  One
-   entity-outer pass per panel — the lanes of a panel interleave, so a
-   per-member walk would touch a full cache line per element where this
-   sweep streams each line once.  Each member keeps its first finding
-   (h before u, lowest entity first, non-finite before non-positive),
-   matching what a per-member scan would report. *)
-let scan_batch v =
-  let res = Array.make v.cap None in
-  let bw = v.blk in
-  for p = 0 to ((v.cap + bw - 1) / bw) - 1 do
-    let mb = p * bw in
-    let mhi = min v.cap (mb + bw) in
-    let cp = p * v.nc * bw in
-    for c = 0 to v.nc - 1 do
-      let ib = cp + (c * bw) in
-      for mm = mb to mhi - 1 do
-        if Array.unsafe_get v.on mm then
-          match res.(mm) with
-          | Some _ -> ()
-          | None ->
-              let h = A1.get v.sh (ib + mm - mb) in
-              if
-                Float.is_nan h || h = Float.infinity
-                || h = Float.neg_infinity
-              then res.(mm) <- Some (Printf.sprintf "non-finite h at cell %d" c)
-              else if h <= 0. then
-                res.(mm) <- Some (Printf.sprintf "non-positive h at cell %d" c)
-      done
-    done;
-    let ep = p * v.ne * bw in
-    for e = 0 to v.ne - 1 do
-      let eb = ep + (e * bw) in
-      for mm = mb to mhi - 1 do
-        if Array.unsafe_get v.on mm then
-          match res.(mm) with
-          | Some _ -> ()
-          | None ->
-              let u = A1.get v.su (eb + mm - mb) in
-              if
-                Float.is_nan u || u = Float.infinity
-                || u = Float.neg_infinity
-              then res.(mm) <- Some (Printf.sprintf "non-finite u at edge %d" e)
-      done
-    done
-  done;
-  res
-
-let instrument _ f = f ()
-
-let sweep t =
-  let v = t.env in
-  let fire phase substep =
-    match t.interrupt with None -> () | Some f -> f ~phase ~substep
+(* Quarantine scan of one member's prognostic fields: the first
+   non-finite or non-positive thickness (lowest cell first), else the
+   first non-finite velocity. *)
+let quarantine (st : Fields.state) =
+  let h = st.Fields.h and u = st.Fields.u in
+  let rec cells c =
+    if c = Array.length h then edges 0
+    else if not (Float.is_finite h.(c)) then
+      Some (Printf.sprintf "non-finite h at cell %d" c)
+    else if h.(c) <= 0. then Some (Printf.sprintf "non-positive h at cell %d" c)
+    else cells (c + 1)
+  and edges e =
+    if e = Array.length u then None
+    else if not (Float.is_finite u.(e)) then
+      Some (Printf.sprintf "non-finite u at edge %d" e)
+    else edges (e + 1)
   in
-  (* Seed the accumulator and the provisional state; tracer-free, so
-     this is the whole of the solo driver's pre-substep work. *)
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.nc ~src:v.sh ~dst:v.ah;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.nc ~src:v.sh ~dst:v.ph;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.ne ~src:v.su ~dst:v.au;
-  Strided.blit_state ~bw:v.blk ~on:v.on ~mlo:0 ~mhi:v.cap ~size:v.ne ~src:v.su ~dst:v.pu;
-  for rk = 0 to 2 do
-    v.rk := rk;
-    fire `Early rk;
-    Batch.run ?log:t.log ?preempt:t.preempt ~mode:t.mode ?pool:t.pool
-      ~instrument ~phase:`Early ~substep:rk t.sp.Spec.early t.early_bodies
-  done;
-  v.rk := 3;
-  fire `Final 3;
-  Batch.run ?log:t.log ?preempt:t.preempt ~mode:t.mode ?pool:t.pool
-    ~instrument ~phase:`Final ~substep:3 t.sp.Spec.final t.final_bodies
+  cells 0
+
+(* One solo fused RK-4 step over the slot's own arrays, then its
+   quarantine scan.  Members share nothing writable, so any number of
+   them may run concurrently. *)
+let advance t slot s =
+  let buf = t.bufs.(slot) in
+  Timestep.step Timestep.fused s.s_config buf.mesh ~b:buf.b ~dt:s.s_dt
+    ~state:buf.state ~work:buf.work ();
+  quarantine buf.state
+
+(* Bookkeeping after a member's step, on the orchestrating domain. *)
+let record s finding =
+  s.s_steps <- s.s_steps + 1;
+  Metrics.Counter.incr s.c_stepped;
+  match finding with
+  | Some reason ->
+      s.s_status <- Failed reason;
+      Metrics.Counter.incr s.c_failed
+  | None -> (
+      match s.s_target with
+      | Some tgt when s.s_steps >= tgt -> s.s_status <- Done
+      | _ -> ())
+
+let sweep t running =
+  let fire () = match t.interrupt with None -> () | Some f -> f () in
+  match t.pool with
+  | None ->
+      Array.iter
+        (fun (slot, s) ->
+          fire ();
+          record s (advance t slot s))
+        running
+  | Some pool ->
+      fire ();
+      let findings = Array.make (Array.length running) None in
+      Pool.parallel_for pool ~lo:0 ~hi:(Array.length running) (fun i ->
+          let slot, s = running.(i) in
+          findings.(i) <- advance t slot s);
+      Array.iteri (fun i (_, s) -> record s findings.(i)) running
 
 let step t ?(n = 1) () =
-  let v = t.env in
   for _ = 1 to n do
-    if running_count t > 0 then begin
+    let running =
+      Array.to_list t.slots
+      |> List.mapi (fun slot s -> (slot, s))
+      |> List.filter_map (function
+           | slot, Some ({ s_status = Running; _ } as s) -> Some (slot, s)
+           | _ -> None)
+      |> Array.of_list
+    in
+    if Array.length running > 0 then begin
       let t0 = Unix.gettimeofday () in
-      sweep t;
+      Fun.protect
+        ~finally:(fun () -> update_occupancy t)
+        (fun () -> sweep t running);
       let dt_wall = Unix.gettimeofday () -. t0 in
       Metrics.Counter.incr t.c_batch_steps;
       Metrics.Timer.record t.t_batch_step dt_wall;
       let tenants_seen = Hashtbl.create 8 in
-      let bad = scan_batch v in
-      Array.iteri
-        (fun slot s ->
-          match s with
-          | Some ({ s_status = Running; _ } as s) ->
-              s.s_steps <- s.s_steps + 1;
-              Metrics.Counter.incr s.c_stepped;
-              if not (Hashtbl.mem tenants_seen s.s_tenant) then begin
-                Hashtbl.add tenants_seen s.s_tenant ();
-                Metrics.Timer.record s.t_step dt_wall
-              end;
-              (match bad.(slot) with
-              | Some reason ->
-                  s.s_status <- Failed reason;
-                  Metrics.Counter.incr s.c_failed;
-                  v.on.(slot) <- false;
-                  v.on4.(slot) <- false
-              | None -> (
-                  match s.s_target with
-                  | Some tgt when s.s_steps >= tgt ->
-                      s.s_status <- Done;
-                      v.on.(slot) <- false;
-                      v.on4.(slot) <- false
-                  | _ -> ()))
-          | _ -> ())
-        t.slots;
-      update_occupancy t
+      Array.iter
+        (fun (_, s) ->
+          if not (Hashtbl.mem tenants_seen s.s_tenant) then begin
+            Hashtbl.add tenants_seen s.s_tenant ();
+            Metrics.Timer.record s.t_step dt_wall
+          end)
+        running
     end
   done
 
 (* --- query / mutation --------------------------------------------------- *)
 
-let query t id =
-  let slot = slot_of t id in
-  match t.slots.(slot) with
-  | Some s -> info_of s
-  | None -> raise Not_found
+let member t id =
+  match t.slots.(slot_of t id) with Some s -> s | None -> raise Not_found
 
-let state t id =
-  let slot = slot_of t id in
-  let v = t.env in
-  {
-    Fields.h = Strided.read_member v.sh ~bw:v.blk ~size:v.nc ~member:slot;
-    u = Strided.read_member v.su ~bw:v.blk ~size:v.ne ~member:slot;
-    tracers = [||];
-  }
+let query t id = info_of (member t id)
+
+let state t id = Fields.copy_state t.bufs.(slot_of t id).state
 
 let set_state t id (st : Fields.state) =
   let slot = slot_of t id in
-  let v = t.env in
-  check_counted "state.h cells" (Array.length st.Fields.h) v.nc;
-  check_counted "state.u edges" (Array.length st.Fields.u) v.ne;
-  check_counted "tracer rows" (Array.length st.Fields.tracers) 0;
-  Strided.fill_member v.sh ~bw:v.blk ~size:v.nc ~member:slot st.Fields.h;
-  Strided.fill_member v.su ~bw:v.blk ~size:v.ne ~member:slot st.Fields.u;
-  (match t.slots.(slot) with
-  | Some s ->
-      s.s_status <- Running;
-      v.on.(slot) <- true;
-      v.on4.(slot) <- v.fourth.(slot)
-  | None -> raise Not_found);
-  init_member_diagnostics t slot;
+  check_state t st;
+  let s = member t id in
+  s.s_status <- Running;
+  load t slot s st;
   update_occupancy t
 
 let evict t id =
   let slot = slot_of t id in
   t.slots.(slot) <- None;
   Hashtbl.remove t.by_id id;
-  t.env.on.(slot) <- false;
-  t.env.on4.(slot) <- false;
   t.free <- slot :: t.free;
   update_occupancy t
-
-(* --- analysis hooks ----------------------------------------------------- *)
-
-let task_accesses t phase ~task =
-  let defs = match phase with `Early -> t.early_defs | `Final -> t.final_defs in
-  let nk = Array.length defs in
-  let b = task / nk and k = task mod nk in
-  if b >= t.blocks || task < 0 then
-    invalid_arg
-      (Printf.sprintf "Ensemble.task_accesses: task %d of %d" task
-         (t.blocks * nk));
-  List.map
-    (fun (name, point, arw) ->
-      { a_slot = Printf.sprintf "%s@b%d" name b; a_point = point; a_rw = arw })
-    defs.(k).kd_acc

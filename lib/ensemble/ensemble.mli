@@ -1,42 +1,36 @@
 (** Batch-serving engine: many concurrent shallow-water simulations per
-    process, advanced by member-strided kernel sweeps.
+    process, each member advanced by the solo fused RK-4 step.
 
     One [t] owns a fixed-capacity pool of member slots over a single
-    immutable mesh (and its memoized CSR).  Every field is one
-    panelled (AoSoA) Bigarray slab ({!Mpas_swe.Strided.slab}) whose
-    panel width is the member block, so a batch step is a sweep of the
-    {!Mpas_swe.Strided} kernels: the mesh connectivity is loaded once
-    per entity and applied to every member of a panel sitting on the
-    same cache line — the batched-inference shape, where throughput
-    comes from layout.
+    immutable mesh (and its memoized CSR).  Each slot owns its member's
+    float arrays — prognostic state, {!Mpas_swe.Timestep.workspace},
+    bottom topography and a copy of the mesh record carrying the
+    member's Coriolis field — allocated once at [create] and reused
+    across submit and evict.  A batch step runs
+    [Timestep.step Timestep.fused] on every running member in turn, or
+    spreads the members over a domain pool.  One production kernel
+    serves solo runs and members alike (DESIGN §14 has the
+    measurements behind this layout).
 
-    Scheduling reuses the dataflow runtime: the RK-4 substep kernel
-    chain compiles through {!Mpas_runtime.Batch} into phase programs
-    whose parallel axis is the {e member block}, so the
-    work-stealing {!Mpas_runtime.Exec} mode spreads blocks over
-    lanes.  Members are independent; blocks share no slots.
-
-    Failure isolation: members only ever touch their own panel lanes,
-    so a blow-up cannot poison neighbours.  After every step each
-    running member's prognostic fields are scanned; a non-finite value
-    or non-positive thickness flips the member to [Failed] and drops it
-    from the [on] masks — the batch keeps going without it.
+    Failure isolation: members share no writable array, so a blow-up
+    cannot poison neighbours.  After each member's step its prognostic
+    fields are scanned; a non-finite value or non-positive thickness
+    flips the member to [Failed] and it is no longer stepped — the
+    batch keeps going without it.
 
     Per-member physics: each member carries its own [Config.t] subset
     (gravity, APVM, [visc2], bottom drag, advection order, PV average),
-    time step, bottom topography and Coriolis field ([f_vertex] slab),
-    which is how perturbed Williamson cases — including the rotated
-    Coriolis variants — batch together.  Unsupported configuration
-    (tracers, [visc4], non-RK4 integrators) is rejected at submit with
-    counted got/expected messages, like [Exchange.exchange] arity
-    errors.
+    time step, bottom topography and Coriolis field, which is how
+    perturbed Williamson cases — including the rotated Coriolis
+    variants — batch together.  Unsupported configuration (tracers,
+    [visc4], non-RK4 integrators) is rejected at submit with counted
+    got/expected messages, like [Exchange.exchange] arity errors.
 
     Every member's trajectory is bit-identical to a solo run of the
     refactored engine with the same config, [dt] and initial state. *)
 
 open Mpas_mesh
 open Mpas_swe
-open Mpas_runtime
 open Mpas_par
 
 type t
@@ -55,37 +49,27 @@ type info = {
 
 (** [create mesh] builds an empty engine.
 
-    [capacity] (default 64) is the member-slot count — slab memory is
-    allocated for all of it up front.  [block] (default 8) is the
-    member-block size, the unit of parallel scheduling.  [mode]/[pool]
-    select the runtime execution mode (default [Sequential], no pool);
-    [log] receives the executor's task log for race replay.
-    [registry] is where observability lands (default
-    [Mpas_obs.Metrics.default]).
+    [capacity] (default 64) is the member-slot count — every slot's
+    arrays are allocated up front.  [pool] spreads the running members
+    of each batch step over its domains with [Pool.parallel_for]
+    (default: step them in turn on the calling domain).  [registry] is
+    where observability lands (default [Mpas_obs.Metrics.default]).
 
-    [interrupt] and [preempt] are the serving layer's fault and
-    eviction hooks, both called on the orchestrating domain only:
-    [interrupt ~phase ~substep] fires before each substep phase
-    launches and may raise (the fault-injection harness's kernel-raise
-    point); [preempt] is forwarded to {!Mpas_runtime.Batch.run} and
-    aborts the phase with {!Exec.Preempted} when it returns [true].
-    Either way the sweep is abandoned mid-step and the batch slabs are
-    left dirty — the caller must restore every affected member (e.g.
-    from a checkpoint) before stepping again. *)
+    [interrupt] is the serving layer's fault hook, called on the
+    orchestrating domain before each member's step — once, at sweep
+    entry, with a [pool].  It may raise to abandon the sweep: members
+    stepped before the raise keep their step (state, count and
+    status), the rest are untouched, and the exception propagates out
+    of {!step}. *)
 val create :
   ?registry:Mpas_obs.Metrics.t ->
   ?capacity:int ->
-  ?block:int ->
-  ?mode:Exec.mode ->
   ?pool:Pool.t ->
-  ?log:Exec.log ->
-  ?interrupt:(phase:[ `Early | `Final ] -> substep:int -> unit) ->
-  ?preempt:(unit -> bool) ->
+  ?interrupt:(unit -> unit) ->
   Mesh.t ->
   t
 
 val capacity : t -> int
-val block : t -> int
 val mesh : t -> Mesh.t
 
 (** Members currently occupying slots (any status), oldest first. *)
@@ -97,7 +81,8 @@ val occupancy : t -> float
 (** [submit t ~b state] places a member in a free slot and returns its
     handle.  [state] (tracerless) and [b] must match the engine mesh;
     [f_vertex] (default the mesh's own) carries Coriolis variants;
-    [config] must use the RK-4 integrator, no [visc4], no tracer rows.
+    [config] must use the RK-4 integrator, no [visc4], no tracer rows;
+    [dt] must be finite and positive.
     Initial diagnostics are computed immediately, as [Model.init] does.
     [target] stops the member with status [Done] after that many steps.
     @raise Invalid_argument with a counted got/expected message on any
@@ -145,19 +130,3 @@ val set_state : t -> int -> Fields.state -> unit
 
 (** Free the member's slot.  @raise Not_found on a bad id. *)
 val evict : t -> int -> unit
-
-(** {2 Introspection for the static checkers} *)
-
-(** The compiled member-axis phase programs (early runs substeps 0-2,
-    final substep 3); passes [Spec.check]. *)
-val spec : t -> Spec.t
-
-type rw = Read | Write | Update
-
-type access = { a_slot : string; a_point : Mpas_patterns.Pattern.point; a_rw : rw }
-
-(** Declared slot accesses of one task.  Slot names are qualified by
-    member block (["tend_u@b3"]), so tasks of different blocks share no
-    slots — the member axis is conflict-free by construction, which
-    [Analysis.Ens] verifies rather than assumes. *)
-val task_accesses : t -> [ `Early | `Final ] -> task:int -> access list

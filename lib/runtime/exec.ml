@@ -35,8 +35,6 @@ type sanitizer = {
 let sanitizer_hook : sanitizer option ref = ref None
 let set_sanitizer s = sanitizer_hook := s
 
-exception Preempted
-
 let now = Mpas_obs.Trace.now
 
 let trace_task (tk : Spec.task) ~substep ~lane ~t0 =
@@ -54,12 +52,11 @@ let trace_task (tk : Spec.task) ~substep ~lane ~t0 =
       ]
     ("task." ^ id)
 
-let run_sequential ?log ?(preempt = fun () -> false) ~san ~phase ~substep
-    ~instrument (spec : Spec.phase) bodies =
+let run_sequential ?log ~san ~phase ~substep ~instrument (spec : Spec.phase)
+    bodies =
   let seq = ref 0 in
   Array.iteri
     (fun i (tk : Spec.task) ->
-      if preempt () then raise Preempted;
       let s0 = !seq in
       incr seq;
       let t0 = now () in
@@ -269,8 +266,8 @@ let run_stealing ?log ~pool ~host_lanes ~san ~phase ~substep ~instrument
     | Some p -> Pool.run_team p lane_body
   end
 
-let run_phase ?log ?preempt ~mode ~pool ~host_lanes ~phase ~substep
-    ~instrument spec bodies =
+let run_phase ?log ~mode ~pool ~host_lanes ~phase ~substep ~instrument spec
+    bodies =
   let san = !sanitizer_hook in
   (match san with
   | None -> ()
@@ -279,13 +276,8 @@ let run_phase ?log ?preempt ~mode ~pool ~host_lanes ~phase ~substep
         ~n_tasks:(Array.length spec.Spec.tasks));
   (match mode with
   | Sequential ->
-      run_sequential ?log ?preempt ~san ~phase ~substep ~instrument spec
-        bodies
+      run_sequential ?log ~san ~phase ~substep ~instrument spec bodies
   | Steal ->
-      (* Worker lanes must not raise (an escaped exception would wedge
-         the team), so the pooled mode only honours the preempt flag at
-         phase entry, before any lane launches. *)
-      (match preempt with Some p when p () -> raise Preempted | _ -> ());
       run_stealing ?log ~pool ~host_lanes ~san ~phase ~substep ~instrument
         spec bodies);
   match san with None -> () | Some s -> s.san_phase_end ()

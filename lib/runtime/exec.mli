@@ -48,8 +48,8 @@ type log = entry list ref
     only cost is one ref load and a match per phase run plus a match
     per task — the hot kernels never pay for the hook.
 
-    An abandoned phase ({!Preempted}) skips [san_phase_end]; monitors
-    must treat [san_phase_begin] as a full reset. *)
+    A phase abandoned by a raising task body skips [san_phase_end];
+    monitors must treat [san_phase_begin] as a full reset. *)
 type sanitizer = {
   san_phase_begin : phase:[ `Early | `Final ] -> substep:int -> n_tasks:int -> unit;
   san_task_begin : task:int -> lane:int -> unit;
@@ -62,28 +62,15 @@ type sanitizer = {
     so a mid-phase swap is unseen by running lanes. *)
 val set_sanitizer : sanitizer option -> unit
 
-exception Preempted
-(** Raised by {!run_phase} when the cooperative [preempt] flag fires:
-    the phase stops cleanly at a task boundary, but tasks already
-    retired have written their outputs — the caller owns deciding
-    whether the partial state is recoverable (the serving layer
-    restores from a checkpoint). *)
-
 (** [run_phase ~mode ~pool ~host_lanes ~phase ~substep ~instrument spec
     bodies] executes [bodies] (aligned with [spec.tasks]) under the
     spec's edges.  [instrument] wraps every task body (it may be called
     concurrently from several lanes).  [pool = None] runs single-lane.
     When a trace sink is set, each task records a span (category
     ["task"]) tagged with instance, substep and lane.  Appends to [log]
-    when given, newest first.
-
-    [preempt] is the cooperative eviction hook: polled on the
-    orchestrating domain — between task retires in [Sequential] mode,
-    at phase entry in [Steal] mode (worker lanes never raise) —
-    and when it returns [true] the run aborts with {!Preempted}. *)
+    when given, newest first. *)
 val run_phase :
   ?log:log ->
-  ?preempt:(unit -> bool) ->
   mode:mode ->
   pool:Pool.t option ->
   host_lanes:int ->

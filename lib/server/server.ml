@@ -1,6 +1,5 @@
 open Mpas_swe
 module Ensemble = Mpas_ensemble.Ensemble
-module Exec = Mpas_runtime.Exec
 module Metrics = Mpas_obs.Metrics
 
 type priority = High | Normal | Low
@@ -98,9 +97,11 @@ type t = {
   tenants : (string, tenant) Hashtbl.t;
   mutable next_id : int;
   mutable t_now : int;
-  (* fault-injection arming, read by the engine hooks *)
-  armed_raise : int option ref;  (** raise at this substep of the next sweep *)
-  armed_death : bool ref;  (** preempt the next sweep *)
+  pooled : bool;
+  armed : (int * string) option ref;
+      (** fault-injection arming, read by the engine hook: raise
+          [Fault.Injected why] after this many more member steps of
+          the current sweep *)
   c_ticks : Metrics.Counter.t;
   c_recoveries : Metrics.Counter.t;
   c_restores : Metrics.Counter.t;
@@ -113,8 +114,8 @@ type t = {
   t_tick : Metrics.Timer.t;
 }
 
-let create ?(registry = Metrics.default) ?(capacity = 16) ?(block = 4) ?mode
-    ?pool ?(queue_limit = 64) ?(tenant_quota = 16) ?(checkpoint_every = 5)
+let create ?(registry = Metrics.default) ?(capacity = 16) ?pool
+    ?(queue_limit = 64) ?(tenant_quota = 16) ?(checkpoint_every = 5)
     ?(max_retries = 3) ?(finish_over_deadline = false) ?(fault = []) mesh =
   if queue_limit < 1 then
     invalid_arg
@@ -129,20 +130,16 @@ let create ?(registry = Metrics.default) ?(capacity = 16) ?(block = 4) ?mode
   if max_retries < 0 then
     invalid_arg
       (Printf.sprintf "Server.create: max_retries %d, need >= 0" max_retries);
-  let armed_raise = ref None and armed_death = ref false in
-  let interrupt ~phase:_ ~substep =
-    match !armed_raise with
-    | Some s when s = substep ->
-        armed_raise := None;
-        raise
-          (Fault.Injected (Printf.sprintf "kernel raise at substep %d" substep))
-    | _ -> ()
+  let armed = ref None in
+  let interrupt () =
+    match !armed with
+    | Some (0, why) ->
+        armed := None;
+        raise (Fault.Injected why)
+    | Some (k, why) -> armed := Some (k - 1, why)
+    | None -> ()
   in
-  let preempt () = !armed_death in
-  let engine =
-    Ensemble.create ~registry ~capacity ~block ?mode ?pool ~interrupt ~preempt
-      mesh
-  in
+  let engine = Ensemble.create ~registry ~capacity ?pool ~interrupt mesh in
   {
     mesh;
     engine;
@@ -159,8 +156,8 @@ let create ?(registry = Metrics.default) ?(capacity = 16) ?(block = 4) ?mode
     tenants = Hashtbl.create 8;
     next_id = 0;
     t_now = 0;
-    armed_raise;
-    armed_death;
+    pooled = Option.is_some pool;
+    armed;
     c_ticks = Metrics.counter ~registry "server.ticks";
     c_recoveries = Metrics.counter ~registry "server.recoveries";
     c_restores = Metrics.counter ~registry "server.restores";
@@ -251,12 +248,7 @@ let tenant_of t ?weight name =
         Hashtbl.add t.tenants name tn;
         tn
   in
-  (match weight with
-  | Some w ->
-      if w <= 0. then
-        invalid_arg (Printf.sprintf "Server.submit: weight %g, need > 0" w);
-      tn.tn_weight <- w
-  | None -> ());
+  Option.iter (fun w -> tn.tn_weight <- w) weight;
   tn
 
 let enqueue t (j : job) =
@@ -314,13 +306,16 @@ let pick_admission t =
 
 (* --- submit -------------------------------------------------------------- *)
 
-let validate_request ~steps ~dt ~deadline =
+let validate_request ~steps ~dt ~weight ~deadline =
   if steps < 1 then
     invalid_arg (Printf.sprintf "Server.submit: steps %d, need >= 1" steps);
-  (match dt with
-  | Some d when d <= 0. ->
-      invalid_arg (Printf.sprintf "Server.submit: dt %g, need > 0" d)
-  | _ -> ());
+  let positive what = function
+    | Some v when not (Float.is_finite v && v > 0.) ->
+        invalid_arg (Printf.sprintf "Server.submit: %s %g, need > 0" what v)
+    | _ -> ()
+  in
+  positive "dt" dt;
+  positive "weight" weight;
   match deadline with
   | Some d when d < 0 ->
       invalid_arg (Printf.sprintf "Server.submit: deadline %d, need >= 0" d)
@@ -356,7 +351,7 @@ let shed t (j : job) reason why =
 
 let submit t ?(tenant = "default") ?weight ?(priority = Normal) ?deadline
     ?(config = Config.default) ?dt ~steps case =
-  validate_request ~steps ~dt ~deadline;
+  validate_request ~steps ~dt ~weight ~deadline;
   let tn = tenant_of t ?weight tenant in
   let reject r =
     let reason =
@@ -609,32 +604,46 @@ let post_step t =
       end)
     (sorted_ids t)
 
+(* Where this tick's disruptive fault lands in the sweep: a lane death
+   before the first member, a kernel raise after at least one member
+   has stepped whenever two or more are running.  A pooled sweep calls
+   the hook only once, at entry, so its faults land there. *)
+let arm t ~raise_arg ~death =
+  let n = running t in
+  t.armed :=
+    match (death, raise_arg) with
+    | true, _ -> Some (0, "lane death")
+    | false, Some a ->
+        let k = if t.pooled || n < 2 then 0 else 1 + (abs a mod (n - 1)) in
+        Some (k, Printf.sprintf "kernel raise before member %d" k)
+    | false, None -> None
+
 let tick t =
   Metrics.Timer.time t.t_tick (fun () ->
       t.t_now <- t.t_now + 1;
       Metrics.Counter.incr t.c_ticks;
+      let raise_arg = ref None and death = ref false in
       List.iter
         (fun (ev : Fault.event) ->
           Metrics.Counter.incr
             (reason_counter t "server.faults_injected"
                (Fault.kind_name ev.Fault.ev_kind));
           match ev.Fault.ev_kind with
-          | Fault.Kernel_raise -> t.armed_raise := Some (ev.Fault.ev_arg mod 4)
+          | Fault.Kernel_raise -> raise_arg := Some ev.Fault.ev_arg
           | Fault.Snapshot_truncate -> Store.arm_truncation t.store 1
-          | Fault.Lane_death -> t.armed_death := true)
+          | Fault.Lane_death -> death := true)
         (Fault.at t.fault ~tick:t.t_now);
       release_backoffs t;
       enforce_deadlines t;
       admit t;
       if running t > 0 then begin
+        arm t ~raise_arg:!raise_arg ~death:!death;
         match Ensemble.step t.engine () with
         | () -> post_step t
-        | exception Fault.Injected msg -> recover_running t msg
-        | exception Exec.Preempted -> recover_running t "lane death"
+        | exception Fault.Injected why -> recover_running t why
       end;
-      (* Disarm any fault the (possibly empty) batch did not consume. *)
-      t.armed_raise := None;
-      t.armed_death := false;
+      (* Disarm any fault the batch did not consume. *)
+      t.armed := None;
       update_gauges t)
 
 let drain t ?(max_ticks = 10_000) () =

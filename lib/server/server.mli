@@ -74,7 +74,7 @@ type info = {
 (** [create mesh] builds a server over a fresh ensemble engine on
     [mesh] (spherical — jobs are Williamson cases).
 
-    [capacity]/[block]/[mode]/[pool] configure the engine as
+    [capacity]/[pool] configure the engine as
     {!Mpas_ensemble.Ensemble.create} does.  [queue_limit] bounds
     queued + delayed jobs (default 64); [tenant_quota] bounds one
     tenant's queued + delayed + running jobs (default 16);
@@ -88,8 +88,6 @@ type info = {
 val create :
   ?registry:Mpas_obs.Metrics.t ->
   ?capacity:int ->
-  ?block:int ->
-  ?mode:Mpas_runtime.Exec.mode ->
   ?pool:Mpas_par.Pool.t ->
   ?queue_limit:int ->
   ?tenant_quota:int ->
@@ -106,7 +104,8 @@ val create :
     [priority] (default [Normal]) picks the lane; [deadline] is an
     absolute tick; [config]/[dt] perturb the run exactly as
     {!Mpas_ensemble.Ensemble.submit_case} does.
-    @raise Invalid_argument on non-positive [steps], [dt] or [weight]
+    @raise Invalid_argument on non-positive [steps], or a [dt] or [weight]
+    that is not finite and positive
     (malformed requests are bugs; over-quota requests are [Error]s). *)
 val submit :
   t ->

@@ -414,149 +414,6 @@ let test_comm_log_replay_steal () =
     "overlapped stolen schedule replays clean" []
     (List.map Races.issue_message !issues)
 
-(* --- ensemble member-axis programs -------------------------------------- *)
-
-let test_bounds_strided_coverage () =
-  (* Every Strided kernel is catalogued, its slab sites lean only on
-     the slab/member entry guards plus CSR facts, and the whole
-     strided family is proved on a valid mesh. *)
-  let strided =
-    List.filter
-      (fun (s : Bounds.site) ->
-        String.length s.Bounds.s_kernel > 8
-        && String.sub s.Bounds.s_kernel 0 8 = "strided.")
-      Bounds.catalog
-  in
-  let kernels =
-    List.sort_uniq compare
-      (List.map (fun (s : Bounds.site) -> s.Bounds.s_kernel) strided)
-  in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " catalogued") true
-        (List.mem ("strided." ^ k) kernels))
-    [
-      "blit_state"; "d2fdx2"; "h_edge"; "kinetic_energy"; "divergence";
-      "vorticity"; "h_vertex"; "pv_vertex"; "pv_cell"; "tangential_velocity";
-      "grad_pv"; "pv_edge"; "tend_h"; "tend_u"; "dissipation"; "local_forcing";
-      "enforce_boundary_edge"; "next_substep_state"; "accumulate";
-    ];
-  (* every slab access carries its slab-guard assumption *)
-  List.iter
-    (fun (s : Bounds.site) ->
-      match s.Bounds.s_index with
-      | Bounds.Slab _ ->
-          Alcotest.(check bool)
-            (Bounds.site_name s ^ " slab-guarded")
-            true
-            (List.exists
-               (function Bounds.Slab_guard _ -> true | _ -> false)
-               (Bounds.obligations s))
-      | _ -> ())
-    strided;
-  let reports = Bounds.audit (Lazy.force ico) in
-  let refuted_strided =
-    List.filter
-      (fun (r : Bounds.site_report) ->
-        List.memq r.Bounds.sr_site strided)
-      (Bounds.refuted reports)
-  in
-  Alcotest.(check (list string))
-    "all strided sites proved" []
-    (List.map
-       (fun (r : Bounds.site_report) -> Bounds.site_name r.Bounds.sr_site)
-       refuted_strided)
-
-let test_bounds_strided_refuted_on_corruption () =
-  (* A poisoned connectivity entry must cost the strided gather
-     kernels their proof too, not only the solo ones. *)
-  let m = Lazy.force hex in
-  let bad = copy_csr (Mesh.csr m) in
-  bad.Mesh.cell_edges.(0) <- m.Mesh.n_edges;
-  let kernels =
-    List.sort_uniq compare
-      (List.map
-         (fun (r : Bounds.site_report) -> r.Bounds.sr_site.Bounds.s_kernel)
-         (Bounds.refuted (Bounds.audit ~csr:bad m)))
-  in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " refuted") true (List.mem k kernels))
-    [ "strided.kinetic_energy"; "strided.divergence"; "strided.tend_h" ]
-
-let ensemble_engine ?mode ?pool ?log m =
-  let open Mpas_ensemble in
-  let e = Ensemble.create ?mode ?pool ?log ~capacity:8 ~block:2 m in
-  let b = Array.make m.Mesh.n_cells 0. in
-  let st =
-    {
-      Fields.h = Array.make m.Mesh.n_cells 1000.;
-      u = Array.make m.Mesh.n_edges 0.1;
-      tracers = [||];
-    }
-  in
-  List.iter
-    (fun config -> ignore (Ensemble.submit e ~config ~dt:5. ~b st))
-    [
-      Config.default;
-      { Config.default with h_adv_order = Config.Second };
-      { Config.default with visc2 = 1e3; bottom_drag = 1e-6 };
-    ];
-  e
-
-let test_ens_static_clean () =
-  List.iter
-    (fun (name, m) ->
-      let e = ensemble_engine (Lazy.force m) in
-      let races = Ens.check_spec e in
-      Alcotest.(check (list string))
-        (name ^ ": member axis race-free") []
-        (List.concat_map
-           (fun (pr : Races.phase_races) ->
-             List.map Races.race_message pr.Races.pr_races)
-           races))
-    [ ("hex", hex); ("ico", ico) ]
-
-let test_ens_dropped_edge_caught () =
-  (* Deleting the chain edge between a block's tend_u and dissipation
-     tasks leaves two unordered tasks updating the same slab slot —
-     the checker must notice, proving the chain edges are load-bearing
-     rather than vacuously consistent. *)
-  let e = ensemble_engine (Lazy.force hex) in
-  let sp = Mpas_ensemble.Ensemble.spec e in
-  let fps = Ens.footprints e `Early in
-  Alcotest.(check (list string))
-    "intact chain clean" []
-    (List.map Races.race_message (Races.check_phase ~footprints:fps sp.Spec.early));
-  let mutated = Races.drop_edge sp.Spec.early ~src:1 ~dst:2 in
-  let races = Races.check_phase ~footprints:fps mutated in
-  Alcotest.(check bool) "dropped edge caught" true (races <> []);
-  Alcotest.(check bool)
-    "the race is the severed pair" true
-    (List.exists (fun (r : Races.race) -> r.Races.ra = 1 && r.Races.rb = 2) races)
-
-let test_ens_log_replay () =
-  (* A stolen member-axis schedule must replay clean: every block task
-     exactly once per substep, chain edges respected, no conflicting
-     overlap between blocks. *)
-  let log : Exec.log = ref [] in
-  let issues = ref [] in
-  let entries = ref 0 in
-  Pool.with_pool ~n_domains:4 (fun pool ->
-      let e =
-        ensemble_engine ~mode:Exec.Steal ~pool ~log (Lazy.force hex)
-      in
-      for _ = 1 to 2 do
-        Mpas_ensemble.Ensemble.step e ();
-        entries := !entries + List.length !log;
-        issues := !issues @ Ens.check_log e !log;
-        log := []
-      done);
-  Alcotest.(check bool) "log nonempty" true (!entries > 0);
-  Alcotest.(check (list string))
-    "stolen ensemble schedule replays clean" []
-    (List.map Races.issue_message !issues)
-
 (* --- online race monitor (Tsan over task-indexed vector clocks) --------- *)
 
 let test_vclock () =
@@ -628,25 +485,6 @@ let test_tsan_overlap_clean () =
           done);
       Alcotest.(check (list string))
         "overlapped stolen run race-free online" []
-        (List.map Tsan.violation_message (Tsan.violations tsan));
-      Alcotest.(check bool) "tasks monitored" true (Tsan.tasks_seen tsan > 0))
-
-let test_tsan_ensemble_clean () =
-  Pool.with_pool ~n_domains:4 (fun pool ->
-      let e = ensemble_engine ~mode:Exec.Steal ~pool (Lazy.force hex) in
-      let tsan =
-        Tsan.create
-          ~spec:(Mpas_ensemble.Ensemble.spec e)
-          ~early_footprints:(Ens.footprints e `Early)
-          ~final_footprints:(Ens.footprints e `Final)
-          ()
-      in
-      Tsan.with_monitor tsan (fun () ->
-          for _ = 1 to 2 do
-            Mpas_ensemble.Ensemble.step e ()
-          done);
-      Alcotest.(check (list string))
-        "stolen ensemble run race-free online" []
         (List.map Tsan.violation_message (Tsan.violations tsan));
       Alcotest.(check bool) "tasks monitored" true (Tsan.tasks_seen tsan > 0))
 
@@ -883,8 +721,6 @@ let () =
             test_tsan_engine_bit_identical;
           Alcotest.test_case "overlapped run monitored clean" `Quick
             test_tsan_overlap_clean;
-          Alcotest.test_case "ensemble run monitored clean" `Quick
-            test_tsan_ensemble_clean;
           Alcotest.test_case "seeded edge drop caught online" `Quick
             test_tsan_seeded_race_caught;
         ] );
@@ -916,18 +752,5 @@ let () =
             test_comm_dropped_unpack_edge_caught;
           Alcotest.test_case "stolen overlapped log replays clean" `Quick
             test_comm_log_replay_steal;
-        ] );
-      ( "ensemble",
-        [
-          Alcotest.test_case "strided sites catalogued and proved" `Quick
-            test_bounds_strided_coverage;
-          Alcotest.test_case "strided sites refuted on corruption" `Quick
-            test_bounds_strided_refuted_on_corruption;
-          Alcotest.test_case "member axis race-free" `Quick
-            test_ens_static_clean;
-          Alcotest.test_case "dropped chain edge caught" `Quick
-            test_ens_dropped_edge_caught;
-          Alcotest.test_case "stolen ensemble log replays clean" `Quick
-            test_ens_log_replay;
         ] );
     ]

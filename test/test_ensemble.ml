@@ -2,7 +2,6 @@ open Mpas_numerics
 open Mpas_mesh
 open Mpas_swe
 open Mpas_par
-open Mpas_runtime
 open Mpas_ensemble
 open Ensemble
 
@@ -56,7 +55,7 @@ let varied_configs =
 
 let test_bit_identity_ico () =
   let m = Lazy.force ico in
-  let e = create ~capacity:8 ~block:3 m in
+  let e = create ~capacity:8 m in
   let cases =
     [
       (Williamson.Tc5, List.nth varied_configs 0);
@@ -85,7 +84,7 @@ let test_bit_identity_ico () =
 
 let test_bit_identity_hex () =
   let m = Lazy.force hex in
-  let e = create ~capacity:4 ~block:2 m in
+  let e = create ~capacity:4 m in
   let b = Array.make m.Mesh.n_cells 0. in
   let st = hex_state m in
   let ids =
@@ -102,43 +101,94 @@ let test_bit_identity_hex () =
       check_bits "hex u" want.Fields.u got.Fields.u)
     ids varied_configs
 
-(* Every executor mode must produce the same bits: member blocks are
-   independent, so the schedule cannot matter. *)
-let test_modes_bit_identical () =
+(* Every pool size must produce the same bits: members share no
+   writable array, so how they are spread over domains cannot matter.
+   A pooled sweep calls the hook once, at entry. *)
+let test_pool_sizes_bit_identical () =
   let m = Lazy.force hex in
   let b = Array.make m.Mesh.n_cells 0. in
   let st = hex_state m in
   let want = solo_steps ~dt:hex_dt ~b m st 5 in
-  let run_mode mode pool_size =
-    let with_engine pool =
-      let e = create ~capacity:8 ~block:2 ~mode ?pool m in
-      let id = submit e ~dt:hex_dt ~b st in
-      (* Fill other slots so several blocks carry work. *)
-      List.iter
-        (fun config -> ignore (submit e ~config ~dt:hex_dt ~b st))
-        varied_configs;
-      step e ~n:5 ();
-      state e id
-    in
-    if pool_size = 0 then with_engine None
-    else
-      Pool.with_pool ~n_domains:pool_size (fun p -> with_engine (Some p))
+  let run pool =
+    let calls = ref 0 in
+    let e = create ~capacity:8 ?pool ~interrupt:(fun () -> incr calls) m in
+    let id = submit e ~dt:hex_dt ~b st in
+    (* Fill other slots so several members are in flight. *)
+    List.iter
+      (fun config -> ignore (submit e ~config ~dt:hex_dt ~b st))
+      varied_configs;
+    step e ~n:5 ();
+    (state e id, !calls)
   in
   List.iter
-    (fun (name, mode, pool_size) ->
-      let got = run_mode mode pool_size in
+    (fun (name, pool_size) ->
+      let got, calls =
+        if pool_size = 0 then run None
+        else Pool.with_pool ~n_domains:pool_size (fun p -> run (Some p))
+      in
       check_bits (name ^ " h") want.Fields.h got.Fields.h;
-      check_bits (name ^ " u") want.Fields.u got.Fields.u)
-    [
-      ("sequential", Exec.Sequential, 0);
-      ("steal", Exec.Steal, 4);
-    ]
+      check_bits (name ^ " u") want.Fields.u got.Fields.u;
+      Alcotest.(check int)
+        (name ^ " hook calls")
+        (if pool_size = 0 then 5 * 5 else 5)
+        calls)
+    [ ("no pool", 0); ("pool 1", 1); ("pool 2", 2); ("pool 4", 4) ]
+
+exception Stop
+
+(* The hook contract: a raise before member k abandons the sweep with
+   members 0..k-1 stepped once and the rest untouched; restoring every
+   member with [set_state] puts the batch back on its solo
+   trajectories. *)
+let test_interrupt_contract () =
+  let m = Lazy.force hex in
+  let b = Array.make m.Mesh.n_cells 0. in
+  let st = hex_state m in
+  let armed = ref None in
+  let interrupt () =
+    match !armed with
+    | Some 0 ->
+        armed := None;
+        raise Stop
+    | Some n -> armed := Some (n - 1)
+    | None -> ()
+  in
+  let e = create ~capacity:4 ~interrupt m in
+  let ids =
+    List.map (fun config -> submit e ~config ~dt:hex_dt ~b st) varied_configs
+  in
+  step e ~n:2 ();
+  let before = List.map (state e) ids in
+  let k = 2 in
+  armed := Some k;
+  Alcotest.check_raises "the raise propagates" Stop (fun () -> step e ());
+  List.iteri
+    (fun i ((id, config), prev) ->
+      let name = Printf.sprintf "member %d" i in
+      let got = state e id in
+      let want, steps =
+        if i < k then (solo_steps ~config ~dt:hex_dt ~b m st 3, 3)
+        else (prev, 2)
+      in
+      check_bits (name ^ " h") want.Fields.h got.Fields.h;
+      check_bits (name ^ " u") want.Fields.u got.Fields.u;
+      Alcotest.(check int) (name ^ " steps") steps (query e id).i_steps)
+    (List.combine (List.combine ids varied_configs) before);
+  List.iter2 (set_state e) ids before;
+  step e ~n:3 ();
+  List.iter2
+    (fun id config ->
+      let want = solo_steps ~config ~dt:hex_dt ~b m st 5 in
+      let got = state e id in
+      check_bits "restored h" want.Fields.h got.Fields.h;
+      check_bits "restored u" want.Fields.u got.Fields.u)
+    ids varied_configs
 
 (* --- failure isolation -------------------------------------------------- *)
 
 let test_quarantine () =
   let m = Lazy.force hex in
-  let e = create ~capacity:4 ~block:2 m in
+  let e = create ~capacity:4 m in
   let b = Array.make m.Mesh.n_cells 0. in
   let st = hex_state m in
   let victim = submit e ~dt:hex_dt ~b st in
@@ -179,7 +229,7 @@ let test_member_isolation_qcheck () =
   let prop (i, j, seed) =
     let i = i mod 3 and j = j mod 3 in
     QCheck.assume (i <> j);
-    let e = create ~capacity:4 ~block:2 m in
+    let e = create ~capacity:4 m in
     let ids =
       Array.init 3 (fun k -> submit e ~config:configs.(k) ~dt:hex_dt ~b st)
     in
@@ -276,40 +326,16 @@ let test_submit_validation () =
       ignore
         (submit e
            ~config:{ Config.default with visc4 = 1e10 }
-           ~dt:hex_dt ~b st))
-
-(* --- spec structure ----------------------------------------------------- *)
-
-let test_spec_well_formed () =
-  let m = Lazy.force hex in
+           ~dt:hex_dt ~b st));
   List.iter
-    (fun (capacity, block) ->
-      let e = create ~capacity ~block m in
-      let sp = spec e in
-      Alcotest.(check (list string))
-        (Printf.sprintf "capacity %d block %d" capacity block)
-        [] (Spec.check sp);
-      (* One task per (block, kernel); blocks share no slots. *)
-      let blocks = (capacity + block - 1) / block in
-      Alcotest.(check bool)
-        "early task count" true
-        (Array.length sp.Spec.early.Spec.tasks mod blocks = 0))
-    [ (1, 1); (8, 3); (64, 8) ]
-
-let test_task_accesses_block_disjoint () =
-  let m = Lazy.force hex in
-  let e = create ~capacity:8 ~block:4 m in
-  let sp = spec e in
-  let nk2 = Array.length sp.Spec.early.Spec.tasks / 2 in
-  let slots_of task =
-    List.map (fun a -> a.a_slot) (task_accesses e `Early ~task)
-  in
-  let block0 = List.concat_map slots_of (List.init nk2 (fun i -> i)) in
-  let block1 = List.concat_map slots_of (List.init nk2 (fun i -> nk2 + i)) in
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s ^ " not shared") false (List.mem s block1))
-    block0
+    (fun dt ->
+      expect
+        (Printf.sprintf "Ensemble.submit: dt = %g, need > 0" dt)
+        (fun () -> ignore (submit e ~dt ~b st)))
+    [ 0.; Float.nan; Float.infinity ];
+  let sphere = create ~capacity:1 (Lazy.force ico) in
+  expect "Ensemble.submit: dt = nan, need > 0" (fun () ->
+      ignore (submit_case sphere ~dt:Float.nan Williamson.Tc5))
 
 (* --- observability ------------------------------------------------------ *)
 
@@ -385,13 +411,15 @@ let () =
           Alcotest.test_case "planar-hex batch vs solo" `Quick
             test_bit_identity_hex;
           Alcotest.test_case "all executor modes" `Quick
-            test_modes_bit_identical;
+            test_pool_sizes_bit_identical;
         ] );
       ( "isolation",
         [
           Alcotest.test_case "NaN quarantine" `Quick test_quarantine;
           Alcotest.test_case "QCheck member isolation" `Quick
             test_member_isolation_qcheck;
+          Alcotest.test_case "interrupt hook contract" `Quick
+            test_interrupt_contract;
         ] );
       ( "serving",
         [
@@ -399,13 +427,6 @@ let () =
           Alcotest.test_case "evict and reuse" `Quick test_evict_and_reuse;
           Alcotest.test_case "submit validation messages" `Quick
             test_submit_validation;
-        ] );
-      ( "spec",
-        [
-          Alcotest.test_case "well-formed member-axis programs" `Quick
-            test_spec_well_formed;
-          Alcotest.test_case "blocks share no slots" `Quick
-            test_task_accesses_block_disjoint;
         ] );
       ( "obs",
         [

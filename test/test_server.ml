@@ -207,6 +207,30 @@ let test_admission_control () =
   Alcotest.(check bool) "high-priority job completed" true
     (status srv high = Server.Completed)
 
+(* Malformed requests raise before they cost anything: a non-finite
+   [dt] would spend a batch slot only to diverge, and a NaN [weight]
+   would poison the tenant's fair-share virtual time. *)
+let test_non_finite_rejected () =
+  let srv = Server.create ~registry:(Metrics.create ()) ~capacity:1 (Lazy.force ico) in
+  let expect msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  List.iter
+    (fun v ->
+      expect
+        (Printf.sprintf "Server.submit: dt %g, need > 0" v)
+        (fun () -> ignore (Server.submit srv ~dt:v ~steps Williamson.Tc5));
+      expect
+        (Printf.sprintf "Server.submit: weight %g, need > 0" v)
+        (fun () ->
+          ignore
+            (Server.submit srv ~tenant:"acme" ~weight:v ~steps Williamson.Tc5)))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0. ];
+  Alcotest.(check int) "nothing queued" 0 (Server.queue_depth srv);
+  (* the rejected weights never reached the tenant: a clean job from it
+     still drains *)
+  let id = ok (Server.submit srv ~tenant:"acme" ~steps Williamson.Tc5) in
+  Alcotest.(check bool) "drained" true (Server.drain srv ());
+  check_result srv id Williamson.Tc5 steps
+
 let test_priority_and_wfq () =
   let srv =
     Server.create ~registry:(Metrics.create ()) ~capacity:1 (Lazy.force ico)
@@ -256,6 +280,33 @@ let test_kernel_raise_recovery () =
     (Metrics.find_counter snap "server.recoveries");
   Alcotest.(check (option int)) "one restore" (Some 1)
     (Metrics.find_counter snap "server.restores")
+
+(* With several members running, a kernel raise lands mid-sweep: the
+   first member has stepped when it fires, and every job still
+   completes bit-identically after the restore. *)
+let test_kernel_raise_mid_sweep () =
+  let registry = Metrics.create () in
+  let fault = [ { Fault.ev_tick = 2; ev_kind = Fault.Kernel_raise; ev_arg = 0 } ] in
+  let srv =
+    Server.create ~registry ~capacity:3 ~checkpoint_every:2 ~fault
+      (Lazy.force ico)
+  in
+  let ids = List.init 3 (fun _ -> ok (Server.submit srv ~steps Williamson.Tc5)) in
+  let stepped () =
+    List.fold_left
+      (fun acc (_, e) -> match e with Metrics.Counter_value v -> acc + v | _ -> acc)
+      0
+      (Metrics.group_labeled (Metrics.snapshot registry) "ensemble.members_stepped")
+  in
+  Server.tick srv;
+  Server.tick srv;
+  Alcotest.(check int) "one member stepped before the raise" 4 (stepped ());
+  Alcotest.(check bool) "drained" true (Server.drain srv ());
+  List.iter
+    (fun id ->
+      Alcotest.(check int) "one retry" 1 (Server.query srv id).Server.jb_retries;
+      check_result srv id Williamson.Tc5 steps)
+    ids
 
 let test_lane_death_recovery () =
   let fault = [ { Fault.ev_tick = 3; ev_kind = Fault.Lane_death; ev_arg = 0 } ] in
@@ -423,10 +474,14 @@ let () =
         [
           Alcotest.test_case "happy path" `Quick test_happy_path;
           Alcotest.test_case "admission control" `Quick test_admission_control;
+          Alcotest.test_case "non-finite dt and weight rejected" `Quick
+            test_non_finite_rejected;
           Alcotest.test_case "priority + weighted fairness" `Quick
             test_priority_and_wfq;
           Alcotest.test_case "kernel-raise recovery" `Quick
             test_kernel_raise_recovery;
+          Alcotest.test_case "kernel raise lands mid-sweep" `Quick
+            test_kernel_raise_mid_sweep;
           Alcotest.test_case "lane-death recovery" `Quick
             test_lane_death_recovery;
           Alcotest.test_case "truncated checkpoint fallback" `Quick
